@@ -133,10 +133,15 @@ let overfull t node =
   node_bytes node > Pager.page_size t.pager
   || entry_count_of node > max_entries t node
 
+(* Minimum fill under an entry cap: ceil(cap/2) leaf entries, and
+   ceil((cap+1)/2) children, i.e. cap/2 separators, per internal node. *)
 let underfull t node =
   let cap = max_entries t node in
-  if cap < max_int then entry_count_of node < (cap + 1) / 2
-  else 4 * node_bytes node < Pager.page_size t.pager
+  if cap = max_int then 4 * node_bytes node < Pager.page_size t.pager
+  else
+    match node with
+    | Leaf { entries; _ } -> Array.length entries < (cap + 1) / 2
+    | Internal { seps; _ } -> Array.length seps < cap / 2
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -227,66 +232,154 @@ let check_key t key =
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 
-(* Index of the child to descend into for [probe]: the last child whose
-   separated range can contain it. *)
-let child_index seps probe =
-  (* first separator strictly greater than probe *)
-  let n = Array.length seps in
-  let rec bsearch lo hi =
+(* First position in [0, n) where the monotone [before] fails. *)
+let partition_point n before =
+  let rec go lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if compare_entry seps.(mid) probe <= 0 then bsearch (mid + 1) hi
-      else bsearch lo mid
+      if before mid then go (mid + 1) hi else go lo mid
   in
-  bsearch 0 n
+  go 0 n
+
+(* Index of the child to descend into for [probe]: the last child whose
+   separated range can contain it, i.e. the first separator strictly
+   greater than probe. *)
+let child_index seps probe =
+  partition_point (Array.length seps) (fun i -> compare_entry seps.(i) probe <= 0)
 
 (* Position of the first entry >= probe within a sorted entry array. *)
 let lower_bound entries probe =
-  let n = Array.length entries in
-  let rec bsearch lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if compare_entry entries.(mid) probe < 0 then bsearch (mid + 1) hi
-      else bsearch lo mid
-  in
-  bsearch 0 n
+  partition_point (Array.length entries) (fun i -> compare_entry entries.(i) probe < 0)
 
-let rec leaf_for t page probe =
-  match read_node t page with
-  | Leaf { entries; next } -> (entries, next)
-  | Internal { children; seps } ->
-      leaf_for t children.(child_index seps probe) probe
+(* ------------------------------------------------------------------ *)
+(* Read-only search on page bytes                                      *)
 
-(* Walk entries in [lo, hi] starting from the leaf containing lo. *)
-let iter_range t ~lo ~hi f =
-  if Key.compare lo hi <= 0 then begin
-    let probe = (lo, min_oid) in
-    let entries0, next0 = leaf_for t t.root probe in
-    let rec walk entries next start =
-      let n = Array.length entries in
-      let rec scan i =
-        if i >= n then
-          if next >= 0 then begin
-            match read_node t next with
-            | Leaf l2 -> walk l2.entries l2.next 0
-            | Internal _ -> raise (Wire.Corrupt "Btree: leaf chain hits internal node")
-          end
-          else ()
-        else begin
-          let k, o = entries.(i) in
-          if Key.compare k hi > 0 then ()
-          else begin
-            f k o;
-            scan (i + 1)
-          end
-        end
-      in
-      scan start
-    in
-    walk entries0 next0 (lower_bound entries0 probe)
+(* Lookups and range scans never build a [node]: they descend and scan
+   on the pinned page, comparing the probe against the key encoding
+   ({!Key.compare_at}), and decode only the entries they return.  The
+   write paths above and below keep the node codec.
+
+   One tree holds one key variant ({!check_key}), so a node whose first
+   key is an [Int] has a fixed entry stride and is binary-searched;
+   String-key nodes are scanned linearly.  The probe is always
+   [(lo, min_oid)], exactly as in {!child_index} / {!lower_bound} on the
+   decoded node, so the page-visit sequence (and every pool counter) is
+   the same as decoding would give. *)
+
+let header_size = 1 + 2 + 4
+let int_leaf_stride = Key.encoded_size Key.min_int_key + Oid.encoded_size
+let int_internal_stride = int_leaf_stride + 4
+
+let corrupt msg = raise (Wire.Corrupt msg)
+
+(* Entry stride of a node with [n] entries, or 0 when the keys are
+   strings.  A fixed-stride node is bounds-checked as a whole here. *)
+let stride_of buf n ~int_stride =
+  if n > 0 && Key.is_int_at buf header_size then begin
+    Wire.check_bounds buf header_size (n * int_stride);
+    int_stride
   end
+  else 0
+
+(* Every key a fixed-stride search lands on must be an [Int]. *)
+let check_int buf off =
+  if not (Key.is_int_at buf off) then corrupt "Btree: mixed key variants in node"
+
+(* [Wire.get_u32] without allocating the (value, offset) pair. *)
+let get_u32 buf off =
+  Wire.check_bounds buf off 4;
+  Int32.to_int (Bytes.get_int32_le buf off) land 0xffff_ffff
+
+(* [compare_entry sep (lo, min_oid) <= 0] for the separator at [off];
+   [min_oid] packs to 0. *)
+let sep_precedes buf off lo =
+  match Key.compare_at buf off lo with
+  | 0 ->
+      let o = off + Key.size_at buf off in
+      Wire.check_bounds buf o Oid.encoded_size;
+      Int64.equal (Bytes.get_int64_le buf o) 0L
+  | c -> c < 0
+
+(* Child page of the internal node in [buf] to descend into for [lo]. *)
+let child_for buf n lo =
+  match stride_of buf n ~int_stride:int_internal_stride with
+  | 0 ->
+      let rec scan i off =
+        if i < n && sep_precedes buf off lo then
+          scan (i + 1) (off + Key.size_at buf off + Oid.encoded_size + 4)
+        else if i = 0 then get_u32 buf 3
+        else get_u32 buf (off - 4)
+      in
+      scan 0 header_size
+  | stride ->
+      let off i = header_size + (i * stride) in
+      let idx =
+        partition_point n (fun i ->
+            check_int buf (off i);
+            sep_precedes buf (off i) lo)
+      in
+      if idx = 0 then get_u32 buf 3 else get_u32 buf (off idx - 4)
+
+type visit =
+  | Child of int
+  | Run of entry list * int
+      (* the leaf's in-range entries, in reverse order, and the next leaf
+         to read, or -1 when the range ended on this one *)
+
+(* In-range entries of the leaf in [buf], starting at the first entry >=
+   [lo] ([first]) or at entry 0 (a leaf reached along the chain). *)
+let scan_leaf buf n ~lo ~hi ~first =
+  let next = get_u32 buf 3 in
+  let next = if next = none_page then -1 else next in
+  let rec collect i off acc =
+    if i >= n then Run (acc, next)
+    else if Key.compare_at buf off hi > 0 then Run (acc, -1)
+    else
+      let e, off' = read_entry buf off in
+      collect (i + 1) off' (e :: acc)
+  in
+  if not first then collect 0 header_size []
+  else
+    match stride_of buf n ~int_stride:int_leaf_stride with
+    | 0 ->
+        let rec skip i off =
+          if i < n && Key.compare_at buf off lo < 0 then
+            skip (i + 1) (off + Key.size_at buf off + Oid.encoded_size)
+          else collect i off []
+        in
+        skip 0 header_size
+    | stride ->
+        let i =
+          partition_point n (fun i ->
+              let off = header_size + (i * stride) in
+              check_int buf off;
+              Key.compare_at buf off lo < 0)
+        in
+        collect i (header_size + (i * stride)) []
+
+let visit_page buf ~lo ~hi ~first =
+  Wire.check_bounds buf 0 header_size;
+  let tag = Bytes.get_uint8 buf 0 in
+  let n = Bytes.get_uint16_le buf 1 in
+  if tag = tag_leaf then scan_leaf buf n ~lo ~hi ~first
+  else if tag <> tag_internal then corrupt (Printf.sprintf "Btree: bad node tag %d" tag)
+  else if first then Child (child_for buf n lo)
+  else corrupt "Btree: leaf chain hits internal node"
+
+(* Walk entries in [lo, hi] starting from the leaf containing lo.  The
+   callback runs after each leaf is unpinned. *)
+let iter_range t ~lo ~hi f =
+  let rec go page ~first =
+    match
+      Pager.with_page_read t.pager ~file:t.file ~page (fun buf -> visit_page buf ~lo ~hi ~first)
+    with
+    | Child page -> go page ~first
+    | Run (rev_entries, next) ->
+        List.iter (fun (k, o) -> f k o) (List.rev rev_entries);
+        if next >= 0 then go next ~first:false
+  in
+  if Key.compare lo hi <= 0 then go t.root ~first:true
 
 let fold_range t ~lo ~hi ~init ~f =
   let acc = ref init in
@@ -336,7 +429,7 @@ let array_remove arr i =
   Array.init (n - 1) (fun j -> if j < i then arr.(j) else arr.(j + 1))
 
 (* Split index that balances the serialized byte size. *)
-let split_point entries extra_per_entry =
+let split_by_bytes entries extra_per_entry =
   let total =
     Array.fold_left (fun acc e -> acc + entry_size e + extra_per_entry) 0 entries
   in
@@ -348,6 +441,18 @@ let split_point entries extra_per_entry =
       if 2 * acc >= total then i + 1 else scan (i + 1) acc
   in
   max 1 (min (n - 1) (scan 0 0))
+
+(* Under an entry cap the halves are balanced by count instead, so neither
+   falls below the fill [underfull] checks: a leaf keeps ceil(n/2)
+   entries; an internal node keeps n/2 separators and the next one moves
+   up. *)
+let leaf_split t entries =
+  if t.max_leaf < max_int then max 1 ((Array.length entries + 1) / 2)
+  else split_by_bytes entries 0
+
+let internal_split t seps =
+  if t.max_internal < max_int then max 1 (Array.length seps / 2)
+  else split_by_bytes seps 4
 
 (* Returns [Some (sep, right_page)] when the node split. *)
 let rec insert_rec t page entry =
@@ -363,7 +468,7 @@ let rec insert_rec t page entry =
         None
       end
       else begin
-        let split = split_point entries 0 in
+        let split = leaf_split t entries in
         let left = Array.sub entries 0 split in
         let right = Array.sub entries split (Array.length entries - split) in
         let right_page = alloc_page t in
@@ -385,7 +490,7 @@ let rec insert_rec t page entry =
           end
           else begin
             (* Promote the separator at the split point ("move up"). *)
-            let split = split_point seps 4 in
+            let split = internal_split t seps in
             let promoted = seps.(split) in
             let left_seps = Array.sub seps 0 split in
             let right_seps = Array.sub seps (split + 1) (Array.length seps - split - 1) in
@@ -481,7 +586,7 @@ let rebalance_child t (node : node) idx =
                   let combined = Array.append a.entries b.entries in
                   if Array.length combined < 2 then node
                   else begin
-                    let split = split_point combined 0 in
+                    let split = leaf_split t combined in
                     let l = Array.sub combined 0 split in
                     let r = Array.sub combined split (Array.length combined - split) in
                     write_node t left_page (Leaf { entries = l; next = a.next });
@@ -497,7 +602,7 @@ let rebalance_child t (node : node) idx =
                   let all_seps = Array.concat [ a.seps; [| seps.(left_idx) |]; b.seps ] in
                   if Array.length all_seps < 2 then node
                   else begin
-                    let split = split_point all_seps 4 in
+                    let split = internal_split t all_seps in
                     let promoted = all_seps.(split) in
                     write_node t left_page
                       (Internal

@@ -18,5 +18,21 @@ val encoded_size : t -> int
 val encode : Bytes.t -> int -> t -> int
 val decode : Bytes.t -> int -> t * int
 
+(** {2 In-place reads}
+
+    Read-only B+-tree search compares probes against node pages without
+    decoding them.  Each reader bounds-checks the bytes it touches and
+    raises {!Fieldrep_util.Wire.Corrupt} on a bad tag, like {!decode}. *)
+
+val compare_at : Bytes.t -> int -> t -> int
+(** [compare_at buf off k] is [compare (fst (decode buf off)) k], without
+    allocating. *)
+
+val size_at : Bytes.t -> int -> int
+(** Encoded size of the key at [off]. *)
+
+val is_int_at : Bytes.t -> int -> bool
+(** Whether the key at [off] is an [Int]. *)
+
 val min_int_key : t
 (** Smallest possible [Int] key. *)

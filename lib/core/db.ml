@@ -30,6 +30,13 @@ type index_rt = {
   value_index : int;  (* absolute index into the record's value array *)
 }
 
+type deref_plan =
+  | P_hidden of int * Schema.replication
+      (* in-place / collapsed: hidden copy at value index *)
+  | P_sprime of int * int  (* separate: hidden sref at index, field offset in S' *)
+  | P_walk of (string * int) list * int
+      (* functional joins: (type, step value index) list, then terminal index *)
+
 type t = {
   pager : Pager.t;
   schema : Schema.t;
@@ -59,6 +66,10 @@ type t = {
   maint : Maint.t;
       (* background-maintenance queue: online backfills, teardowns and
          scrub sweeps, pumped in quanta between foreground operations *)
+  plans : (string * string, deref_plan) Hashtbl.t;
+      (* (set, path expression) -> compiled deref plan, valid while the
+         schema epoch equals [plans_epoch] *)
+  mutable plans_epoch : int;
 }
 
 let schema t = t.schema
@@ -219,6 +230,8 @@ let create ?(page_size = 4096) ?(frames = 256) ?(prefetch = 0) ?(durable = false
          repl_stream = None;
          epoch = 0;
          maint = Maint.create ~locks ~stats:(Pager.stats pager);
+         plans = Hashtbl.create 16;
+         plans_epoch = Schema.epoch schema;
        })
   in
   let t = Lazy.force t in
@@ -858,14 +871,7 @@ let set_pages t set = Heap_file.page_count (set_file t set)
 (* ------------------------------------------------------------------ *)
 (* Path dereferencing with replication-aware planning                  *)
 
-type deref_plan =
-  | P_hidden of int * Schema.replication
-      (* in-place / collapsed: hidden copy at value index *)
-  | P_sprime of int * int  (* separate: hidden sref at index, field offset in S' *)
-  | P_walk of (string * int) list * int
-      (* functional joins: (type, step value index) list, then terminal index *)
-
-let plan_deref t ~set expr =
+let compile_deref t ~set expr =
   let parts = String.split_on_char '.' (String.trim expr) in
   let parts = List.filter (fun s -> s <> "") parts in
   match List.rev parts with
@@ -934,6 +940,27 @@ let plan_deref t ~set expr =
                          ty_name step))
           in
           compile (Schema.set_type t.schema set).Ty.tname [] steps)
+
+(* A plan depends on the catalog alone (paths, replication states, hidden
+   layout), so it is compiled once per (set, expr) and schema epoch: any
+   DDL or replication state flip empties the cache, which sends reads of
+   a [Building], [Dropping] or [Dropped] path back to the join at once.
+   The size cap only bounds memory against unboundedly many distinct
+   expression strings. *)
+let max_cached_plans = 1024
+
+let plan_deref t ~set expr =
+  let epoch = Schema.epoch t.schema in
+  if epoch <> t.plans_epoch || Hashtbl.length t.plans >= max_cached_plans then begin
+    Hashtbl.reset t.plans;
+    t.plans_epoch <- epoch
+  end;
+  match Hashtbl.find_opt t.plans (set, expr) with
+  | Some plan -> plan
+  | None ->
+      let plan = compile_deref t ~set expr in
+      Hashtbl.replace t.plans (set, expr) plan;
+      plan
 
 (* Evaluate a path expression by actually following the references
    (ignoring any replicated data). *)

@@ -80,6 +80,11 @@ type t
 
 val create : unit -> t
 
+val epoch : t -> int
+(** Catalog version: every mutator below ([define_type], [create_set],
+    [add_index], [add_replication], [set_rep_state]) bumps it, so
+    anything derived from the catalog can be cached against it. *)
+
 (** {1 Types} *)
 
 val define_type : t -> Ty.t -> unit

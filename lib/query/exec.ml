@@ -115,18 +115,26 @@ let project db ~set ~oid record projections =
       else Db.field_value db ~set record expr)
     projections
 
+let drop_output db file = Pager.delete_file (Db.pager db) file
+
+(* A scan or projection that raises (a quarantined page, a bad path
+   expression) must not leak the half-written output file or its frames. *)
 let retrieve db (q : Ast.retrieve) =
   let set = q.Ast.from_set in
   let out = Heap_file.create (Db.pager db) in
   let rows = ref 0 in
-  iter_selected db ~set q.Ast.where (fun oid record ->
-      let values = project db ~set ~oid record q.Ast.projections in
-      let tuple = Record.make ~type_tag:0 (Array.of_list values) in
-      ignore (Heap_file.insert out (Record.encode tuple));
-      incr rows);
-  { rows = !rows; output_file = Heap_file.file_id out; output_pages = Heap_file.page_count out }
-
-let drop_output db file = Pager.delete_file (Db.pager db) file
+  match
+    iter_selected db ~set q.Ast.where (fun oid record ->
+        let values = project db ~set ~oid record q.Ast.projections in
+        let tuple = Record.make ~type_tag:0 (Array.of_list values) in
+        ignore (Heap_file.insert out (Record.encode tuple));
+        incr rows)
+  with
+  | () ->
+      { rows = !rows; output_file = Heap_file.file_id out; output_pages = Heap_file.page_count out }
+  | exception e ->
+      drop_output db (Heap_file.file_id out);
+      raise e
 
 let retrieve_values db q =
   let result = retrieve db q in

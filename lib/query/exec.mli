@@ -29,7 +29,9 @@ type retrieve_result = {
 
 val retrieve : Db.t -> Ast.retrieve -> retrieve_result
 (** Executes the query, materialising the result into a fresh output file
-    (so its generation I/O is counted, as in the model). *)
+    (so its generation I/O is counted, as in the model).  If the scan or a
+    projection raises, the output file is deleted before the exception
+    propagates. *)
 
 val retrieve_values : Db.t -> Ast.retrieve -> Value.t list list
 (** Convenience for tests and examples: run the query and load the result

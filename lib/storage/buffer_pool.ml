@@ -235,42 +235,45 @@ let new_page t ~file =
 
 let flush t = Array.iter (fun f -> if f.occupied then write_back t f) t.frames
 
+(* Unmap a frame without write-back. *)
+let discard t idx =
+  let f = t.frames.(idx) in
+  Hashtbl.remove t.table (f.file, f.page);
+  f.occupied <- false;
+  f.referenced <- false;
+  f.prefetched <- false;
+  f.dirty <- false
+
 let invalidate t ~file ~page =
   match Hashtbl.find_opt t.table (file, page) with
   | None -> ()
   | Some idx ->
-      let f = t.frames.(idx) in
-      if f.pins > 0 then invalid_arg "Buffer_pool.invalidate: pinned frame";
-      Hashtbl.remove t.table (file, page);
-      f.occupied <- false;
-      f.referenced <- false;
-      f.prefetched <- false;
-      f.dirty <- false
+      if t.frames.(idx).pins > 0 then invalid_arg "Buffer_pool.invalidate: pinned frame";
+      discard t idx
 
-(* Both bulk-discard operations refuse *before* touching anything: a pinned
-   frame found mid-sweep must not leave some pages unmapped and others not. *)
-let check_unpinned t ~op ~file =
-  Array.iter
-    (fun f ->
-      if f.occupied && f.pins > 0 && (file = -1 || f.file = file) then
-        invalid_arg (Printf.sprintf "Buffer_pool.%s: pinned frame" op))
-    t.frames
-
+(* Every resident page was read from, or allocated on, the disk, so a
+   file's frames all sit below its disk page count: dropping a file looks
+   up only its own pages, never sweeping the frame array.  It refuses
+   {e before} touching anything: a pinned frame found mid-way must not
+   leave some pages unmapped and others not. *)
 let drop_file t ~file =
-  check_unpinned t ~op:"drop_file" ~file;
-  Array.iter
-    (fun f ->
-      if f.occupied && f.file = file then begin
-        Hashtbl.remove t.table (f.file, f.page);
-        f.occupied <- false;
-        f.referenced <- false;
-        f.prefetched <- false;
-        f.dirty <- false
-      end)
-    t.frames
+  let pages = if Disk.file_exists t.disk file then Disk.page_count t.disk file else 0 in
+  for page = 0 to pages - 1 do
+    match Hashtbl.find_opt t.table (file, page) with
+    | Some idx when t.frames.(idx).pins > 0 ->
+        invalid_arg "Buffer_pool.drop_file: pinned frame"
+    | Some _ | None -> ()
+  done;
+  for page = 0 to pages - 1 do
+    match Hashtbl.find_opt t.table (file, page) with
+    | Some idx -> discard t idx
+    | None -> ()
+  done
 
+(* Refuses before touching anything, like [drop_file]. *)
 let clear t =
-  check_unpinned t ~op:"clear" ~file:(-1);
+  if Array.exists (fun f -> f.occupied && f.pins > 0) t.frames then
+    invalid_arg "Buffer_pool.clear: pinned frame";
   flush t;
   Array.iter
     (fun f ->

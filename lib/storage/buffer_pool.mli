@@ -75,7 +75,8 @@ val invalidate : t -> file:int -> page:int -> unit
 val drop_file : t -> file:int -> unit
 (** Discard (without write-back) every frame belonging to one file — used
     when that file is deleted, so its dirty pages are never flushed to a
-    dead file.  Frames of other files stay resident.  Raises
+    dead file.  Frames of other files stay resident.  Costs one frame-table
+    lookup per page of the file, independent of the pool size.  Raises
     [Invalid_argument] {e before} mutating anything if one of the file's
     frames is pinned. *)
 

@@ -84,9 +84,9 @@ let create_file t =
 let delete_file t id =
   let (P ((module B), b)) = t.backend in
   if B.file_exists b ~id then B.delete_file b ~id;
-  Hashtbl.iter
-    (fun (f, p) () -> if f = id then Hashtbl.remove t.quarantine_tbl (f, p))
-    (Hashtbl.copy t.quarantine_tbl)
+  Hashtbl.filter_map_inplace
+    (fun (f, _) () -> if f = id then None else Some ())
+    t.quarantine_tbl
 
 let file_exists t id =
   let (P ((module B), b)) = t.backend in

@@ -47,3 +47,4 @@ let run_cold t f =
   result
 
 let total_pages t = Disk.total_pages t.disk
+let resident t = Buffer_pool.resident t.pool

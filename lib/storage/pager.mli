@@ -63,3 +63,6 @@ val run_cold : t -> (unit -> 'a) -> 'a
 
 val reset_stats : t -> unit
 val total_pages : t -> int
+
+val resident : t -> int
+(** Pages currently cached in the buffer pool. *)

@@ -293,8 +293,78 @@ let test_lookup_io_is_height_bound () =
   let reads = (Pager.stats pager).Fieldrep_storage.Stats.page_reads in
   checkb "descent reads <= height + 1" true (reads <= h + 1)
 
+(* The descent compares whole (key, OID) entries: a separator equal to
+   the probe (key, smallest OID) routes right, straight to the leaf that
+   holds the key, so every [find_first] touches one page per level. *)
+let test_lookup_touches_one_page_per_level () =
+  let pager = Pager.create ~page_size:512 ~frames:128 () in
+  let t = Btree.create pager in
+  let min_oid = { Oid.file = 0; page = 0; slot = 0 } in
+  for i = 0 to 999 do
+    Btree.insert t (Key.Int i) min_oid
+  done;
+  let h = Btree.height t in
+  checkb "three or more levels" true (h >= 3);
+  let stats = Pager.stats pager in
+  for i = 0 to 999 do
+    Pager.reset_stats pager;
+    ignore (Btree.find_first t (Key.Int i));
+    checki "pages touched"
+      h (stats.Fieldrep_storage.Stats.buffer_hits + stats.Fieldrep_storage.Stats.page_reads)
+  done
+
+(* Searches read the page bytes in place; damage must still surface as
+   [Wire.Corrupt], never as an out-of-bounds read. *)
+let test_search_rejects_corrupt_nodes () =
+  let corrupted keys ~off ~byte probe =
+    let pager = mk_pager () in
+    let t = Btree.create pager in
+    List.iteri (fun i k -> Btree.insert t k (oid i)) keys;
+    Pager.with_page_write pager ~file:(Btree.file_id t) ~page:(Btree.root t) (fun buf ->
+        Bytes.set_uint8 buf off byte);
+    match Btree.find t probe with
+    | _ -> Alcotest.failf "no Corrupt for byte %d at offset %d" byte off
+    | exception Fieldrep_util.Wire.Corrupt _ -> ()
+  in
+  let ints = List.init 10 (fun i -> Key.Int i) in
+  let strings = List.map (fun s -> Key.String s) [ "ab"; "abc"; "b" ] in
+  corrupted ints ~off:0 ~byte:7 (Key.Int 3) (* node tag *);
+  corrupted ints ~off:7 ~byte:9 (Key.Int 3) (* first key tag *);
+  corrupted strings ~off:7 ~byte:9 (Key.String "b");
+  corrupted strings ~off:9 ~byte:0xff (Key.String "b") (* length past the page *)
+
+(* Lookups search the pinned page bytes and decode only the entries they
+   return, so a point lookup allocates a small, fixed number of words.
+   Decoding every visited node into boxed entries costs thousands; this
+   guard trips long before that.  Measured: 210 words per lookup, most of
+   it the two buffer-pool pins. *)
+let test_lookup_allocation_bound () =
+  let t = Btree.create (Pager.create ~page_size:4096 ~frames:64 ()) in
+  for i = 0 to 1999 do
+    Btree.insert t (Key.Int i) (oid i)
+  done;
+  checki "two levels" 2 (Btree.height t);
+  let lookups = 1000 in
+  let before = Gc.minor_words () in
+  for i = 0 to lookups - 1 do
+    ignore (Btree.find t (Key.Int (2 * i)))
+  done;
+  let per_lookup = (Gc.minor_words () -. before) /. float_of_int lookups in
+  if per_lookup > 420. then
+    Alcotest.failf "Btree.find allocates %.0f words per lookup (bound 420)" per_lookup
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
+
+(* Keys that stress the in-place string comparison: the empty string,
+   shared prefixes, and bytes >= 0x80 (unsigned order). *)
+let string_key =
+  let open QCheck.Gen in
+  oneof
+    [
+      oneofl [ ""; "a"; "ab"; "abc"; "abd"; "\x80"; "ab\xff"; "\xff\xff" ];
+      string_size ~gen:(oneofl [ '\x00'; 'a'; 'b'; '\x7f'; '\x80'; '\xff' ]) (0 -- 4);
+    ]
 
 let qcheck_tests =
   let open QCheck in
@@ -337,6 +407,56 @@ let qcheck_tests =
               match k with Key.Int v -> v :: acc | Key.String _ -> acc)
         in
         List.rev got = expected);
+    Test.make ~name:"string keys match sorted-assoc model" ~count:40
+      (pair
+         (list_of_size Gen.(60 -- 250) (pair (make string_key) (int_range 0 20)))
+         (list_of_size Gen.(1 -- 30) (pair (make string_key) (make string_key))))
+      (fun (entries, probes) ->
+        let t = mk_tree ~page_size:256 ~max_leaf_entries:3 ~max_internal_entries:3 () in
+        let compare_entry (k1, o1) (k2, o2) =
+          match String.compare k1 k2 with 0 -> Int.compare o1 o2 | c -> c
+        in
+        let entries = List.sort_uniq compare_entry entries in
+        List.iter (fun (k, o) -> Btree.insert t (Key.String k) (oid o)) entries;
+        Btree.check_invariants t;
+        if Btree.height t < 3 then Test.fail_reportf "expected 3+ levels, got %d" (Btree.height t);
+        (* Delete every third entry so searches also run over merged and
+           redistributed nodes. *)
+        let model =
+          List.filteri
+            (fun i (k, o) -> i mod 3 <> 0 || not (Btree.delete t (Key.String k) (oid o)))
+            entries
+        in
+        let oids_of k = List.filter_map (fun (k', o) -> if k = k' then Some (oid o) else None) model in
+        let range lo hi =
+          let acc = ref [] in
+          Btree.iter_range t ~lo:(Key.String lo) ~hi:(Key.String hi) (fun k o ->
+              match k with
+              | Key.String s -> acc := (s, o) :: !acc
+              | Key.Int _ -> Test.fail_report "Int key in a String tree");
+          List.rev !acc
+        in
+        let probe_keys = List.concat_map (fun (a, b) -> [ a; b ]) probes @ List.map fst model in
+        List.for_all
+          (fun k ->
+            let want = oids_of k in
+            List.equal Oid.equal (Btree.find t (Key.String k)) want
+            && Option.equal Oid.equal (Btree.find_first t (Key.String k)) (List.nth_opt want 0)
+            && Btree.mem t (Key.String k) = (want <> []))
+          probe_keys
+        && List.for_all
+             (fun (a, b) ->
+               let want =
+                 List.filter_map
+                   (fun (k, o) ->
+                     if String.compare a k <= 0 && String.compare k b <= 0 then Some (k, oid o)
+                     else None)
+                   model
+               in
+               let got = range a b in
+               List.length got = List.length want
+               && List.for_all2 (fun (k, o) (k', o') -> k = k' && Oid.equal o o') got want)
+             probes);
     Test.make ~name:"bulk load equals incremental build" ~count:25
       (list_of_size Gen.(0 -- 400) (int_range 0 1000))
       (fun keys ->
@@ -396,6 +516,14 @@ let () =
           Alcotest.test_case "rejects non-empty" `Quick test_bulk_load_rejects_nonempty;
           Alcotest.test_case "mutate after load" `Quick test_bulk_load_then_mutate;
         ] );
-      ("io", [ Alcotest.test_case "lookup bounded by height" `Quick test_lookup_io_is_height_bound ]);
+      ( "io",
+        [
+          Alcotest.test_case "lookup bounded by height" `Quick test_lookup_io_is_height_bound;
+          Alcotest.test_case "lookup touches one page per level" `Quick
+            test_lookup_touches_one_page_per_level;
+          Alcotest.test_case "lookup allocation bounded" `Quick test_lookup_allocation_bound;
+          Alcotest.test_case "corrupt nodes raise Corrupt" `Quick
+            test_search_rejects_corrupt_nodes;
+        ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
     ]

@@ -4,6 +4,8 @@
 
 module Db = Fieldrep.Db
 module Oid = Fieldrep_storage.Oid
+module Disk = Fieldrep_storage.Disk
+module Pager = Fieldrep_storage.Pager
 module Ty = Fieldrep_model.Ty
 module Value = Fieldrep_model.Value
 module Schema = Fieldrep_model.Schema
@@ -85,6 +87,69 @@ let test_planner_join_counts_follow_replication () =
   ignore (Lang.exec db "replicate Emp1.dept.name");
   checki "no join after replication" 0 (joins ())
 
+(* Ground truth for Emp1.dept.org.name: follow the references by hand. *)
+let join_org_name db emp =
+  let follow set oid field =
+    match Db.field_value db ~set (Db.get db ~set oid) field with
+    | Value.VRef o -> o
+    | v -> Alcotest.failf "%s.%s is not a reference: %s" set field (Value.to_string v)
+  in
+  let org = follow "Dept" (follow "Emp1" emp "dept") "org" in
+  Db.field_value db ~set:"Org" (Db.get db ~set:"Org" org) "name"
+
+(* Deref plans are cached per (set, expr) and schema epoch: every
+   replication state flip must reach the next read, inline or online, and
+   a loaded image must plan against its own catalog. *)
+let test_plan_cache_follows_schema_epoch () =
+  let db, _, _, emps = paper_db () in
+  let path = Path.parse "Emp1.dept.org.name" in
+  let q = { Ast.from_set = "Emp1"; projections = [ "dept.org.name" ]; where = None } in
+  let check step db joins =
+    checki (step ^ ": deref_would_join") joins
+      (Db.deref_would_join db ~set:"Emp1" "dept.org.name");
+    checki (step ^ ": explain") joins
+      (List.assoc "dept.org.name" (Exec.explain_retrieve db q).Exec.join_counts);
+    Array.iter
+      (fun e ->
+        checkv (step ^ ": deref = join") (join_org_name db e)
+          (Db.deref db ~set:"Emp1" e "dept.org.name"))
+      emps
+  in
+  let state db = Db.replication_state db path in
+  check "unreplicated" db 2;
+  (* No transaction is active: replicate and unreplicate run inline. *)
+  Db.replicate db ~strategy:Schema.Inplace path;
+  check "replicated inline" db 0;
+  Db.unreplicate db path;
+  check "unreplicated inline" db 2;
+  (* An open transaction sends both through background maintenance. *)
+  let tx = Db.begin_txn db in
+  Db.replicate db ~strategy:Schema.Inplace path;
+  checkb "Building" true (state db = Some Schema.Building);
+  check "building" db 2;
+  Db.commit db tx;
+  Db.maint_drain db;
+  checkb "Active" true (state db = Some Schema.Active);
+  check "backfilled" db 0;
+  let tx = Db.begin_txn db in
+  Db.unreplicate db path;
+  checkb "Dropping" true (state db = Some Schema.Dropping);
+  check "dropping" db 2;
+  Db.commit db tx;
+  Db.maint_drain db;
+  checkb "Dropped" true (state db = None);
+  check "dropped" db 2;
+  Db.replicate db ~strategy:Schema.Separate path;
+  check "separate" db 1;
+  let image = Filename.temp_file "fieldrep_plan" ".img" in
+  Db.save db image;
+  let loaded = Db.load image in
+  Sys.remove image;
+  check "loaded" loaded 1;
+  Db.unreplicate loaded path;
+  check "loaded, unreplicated" loaded 2;
+  check "original unaffected" db 1
+
 (* ------------------------------------------------------------------ *)
 (* Retrieve                                                            *)
 
@@ -137,6 +202,35 @@ let test_retrieve_output_file_counted () =
   checkb "output pages" true (res.Exec.output_pages >= 1);
   checki "rows" 12 res.Exec.rows;
   Exec.drop_output db res.Exec.output_file
+
+(* A scan that hits a quarantined page mid-retrieve must not leak the
+   half-written output file or its pool frames. *)
+let test_retrieve_failure_drops_output () =
+  let db, _, depts, emps = paper_db () in
+  for i = 0 to 299 do
+    ignore
+      (Db.insert db ~set:"Emp1"
+         [
+           Value.VString (Printf.sprintf "extra-%d" i);
+           Value.VInt 30;
+           Value.VInt 40_000;
+           Value.VRef depts.(i mod 3);
+         ])
+  done;
+  let pager = Db.pager db in
+  let file = emps.(0).Oid.file in
+  let last = Db.set_pages db "Emp1" - 1 in
+  checkb "several data pages" true (last >= 2);
+  Pager.flush pager;
+  Disk.corrupt_page (Pager.disk pager) ~file ~page:last [ 100 ];
+  Pager.invalidate pager ~file ~page:last;
+  let pages = Pager.total_pages pager and resident = Pager.resident pager in
+  let q = { Ast.from_set = "Emp1"; projections = [ "name"; "dept.org.name" ]; where = None } in
+  (match Exec.retrieve db q with
+  | _ -> Alcotest.fail "expected Corrupt_page"
+  | exception Disk.Corrupt_page _ -> ());
+  checki "disk pages" pages (Pager.total_pages pager);
+  checki "resident frames" resident (Pager.resident pager)
 
 let test_retrieve_same_result_with_and_without_replication () =
   let db, _, _, _ = paper_db () in
@@ -521,6 +615,8 @@ let () =
           Alcotest.test_case "picks index" `Quick test_planner_picks_index;
           Alcotest.test_case "join counts follow replication" `Quick
             test_planner_join_counts_follow_replication;
+          Alcotest.test_case "plan cache follows schema epoch" `Quick
+            test_plan_cache_follows_schema_epoch;
         ] );
       ( "retrieve",
         [
@@ -528,6 +624,7 @@ let () =
           Alcotest.test_case "full scan" `Quick test_retrieve_full_scan;
           Alcotest.test_case "empty result" `Quick test_retrieve_empty_result;
           Alcotest.test_case "output file" `Quick test_retrieve_output_file_counted;
+          Alcotest.test_case "failure drops output" `Quick test_retrieve_failure_drops_output;
           Alcotest.test_case "replication transparent" `Quick
             test_retrieve_same_result_with_and_without_replication;
         ] );
