@@ -576,9 +576,9 @@ let with_charge t txn f =
       Fun.protect
         ~finally:(fun () -> t.charging <- false)
         (fun () ->
-          let io0 = Stats.grand_total_io () in
+          let io0 = Stats.total_io (stats t) in
           let r = f () in
-          Txn.charge_io tx (Stats.grand_total_io () - io0);
+          Txn.charge_io tx (Stats.total_io (stats t) - io0);
           Txn.bump_ops tx;
           r)
   | _ -> f ()
@@ -784,7 +784,7 @@ let finish t tx state =
 
 let commit t tx =
   txn_check t tx;
-  let io0 = Stats.grand_total_io () in
+  let io0 = Stats.total_io (stats t) in
   free_txn_tombstones t (Txn.tombstones tx);
   (match t.wal with
   | Some w when Txn.begun tx && not t.replaying ->
@@ -793,7 +793,7 @@ let commit t tx =
          every record the transaction buffered. *)
       Wal.sync w
   | _ -> ());
-  Txn.charge_io tx (Stats.grand_total_io () - io0);
+  Txn.charge_io tx (Stats.total_io (stats t) - io0);
   finish t tx Txn.Committed;
   let s = stats t in
   Stats.bump s Stats.Txn_commits
@@ -824,7 +824,7 @@ let restore_image t (img : Txn.undo_image) =
 
 let abort t tx =
   txn_check t tx;
-  let io0 = Stats.grand_total_io () in
+  let io0 = Stats.total_io (stats t) in
   t.compensating <- true;
   Fun.protect
     ~finally:(fun () -> t.compensating <- false)
@@ -844,7 +844,7 @@ let abort t tx =
       ignore (Wal.append w (Wal.Txn_abort (Txn.id tx)));
       Wal.sync w
   | _ -> ());
-  Txn.charge_io tx (Stats.grand_total_io () - io0);
+  Txn.charge_io tx (Stats.total_io (stats t) - io0);
   finish t tx Txn.Aborted;
   let s = stats t in
   Stats.bump s Stats.Txn_aborts
@@ -1030,7 +1030,7 @@ let deref_record ?txn ?oid t ~set record expr =
             (* The S' page is quarantined.  The replicated value is only a
                copy: degrade gracefully to the functional join over the
                source objects, which remain authoritative. *)
-            Stats.note_degraded_read (stats t);
+            Stats.bump (stats t) Stats.Degraded_reads;
             deref_walk t ~set record expr)
       | Value.VNull -> Value.VNull
       | Value.VInt _ | Value.VString _ -> invalid_arg "Db.deref: corrupt sref slot")
@@ -1128,7 +1128,7 @@ let referencers t ~source_set ~attr target_oid =
       (* The level-1 link page is quarantined: the inverted path is just
          replicated data, so degrade to scanning the (authoritative) source
          set. *)
-      Stats.note_degraded_read (stats t);
+      Stats.bump (stats t) Stats.Degraded_reads;
       scan ()
 
 (* ------------------------------------------------------------------ *)
@@ -1198,7 +1198,7 @@ let scrub t =
     with
     | () -> true
     | exception (Lock.Would_block _ | Lock.Deadlock _) ->
-        Stats.note_maint_yield (stats t);
+        Stats.bump (stats t) Stats.Maint_lock_yields;
         false
   in
   Fun.protect
@@ -1751,7 +1751,7 @@ let replica_apply t lsn record =
   Fun.protect
     ~finally:(fun () -> t.replaying <- false)
     (fun () -> Recovery.feed s lsn record);
-  Stats.note_frame_applied (Pager.stats t.pager)
+  Stats.bump (Pager.stats t.pager) Stats.Frames_applied
 
 (* Failover: turn this replica into the epoch's new master.  Its applied
    prefix becomes the authoritative history — a fresh log is attached at

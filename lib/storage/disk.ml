@@ -199,7 +199,7 @@ let read_page t ~file ~page buf =
   B.read b ~file ~page t.scratch;
   if B.read_sum b ~file ~page <> sum_of t t.scratch then begin
     quarantine t ~file ~page;
-    Stats.note_checksum_failure t.stats;
+    Stats.bump t.stats Stats.Checksum_failures;
     raise (Corrupt_page { file; page })
   end;
   Bytes.blit t.scratch 0 buf 0 t.page_size;

@@ -37,8 +37,6 @@ let new_page t ~file = Buffer_pool.new_page t.pool ~file
 let flush t = Buffer_pool.flush t.pool
 let invalidate t ~file ~page = Buffer_pool.invalidate t.pool ~file ~page
 
-let reset_stats t = Stats.reset t.stats
-
 let run_cold t f =
   Buffer_pool.clear t.pool;
   Stats.reset t.stats;

@@ -61,7 +61,6 @@ val run_cold : t -> (unit -> 'a) -> 'a
     [f].  This realises the cost model's assumption that a query reads each
     page it needs exactly once. *)
 
-val reset_stats : t -> unit
 val total_pages : t -> int
 
 val resident : t -> int

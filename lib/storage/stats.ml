@@ -118,10 +118,10 @@ let reset t =
   t.reconnects <- 0;
   Hashtbl.reset t.by_file
 
-(* The one blessed mutation point for the counter fields.  Every increment
-   in the tree goes through [add] (rule C1 bans bare [s.f <- s.f + n]
-   outside this module), so moving the counters to [Atomic] fetch-and-add
-   later is a change to this single match, not to every call site. *)
+(* The one mutation point for the counter fields.  [t] is private outside
+   this module, so every increment in the tree goes through [add]; moving
+   the counters to [Atomic] fetch-and-add later is a change to this single
+   match, not to every call site. *)
 type counter =
   | Page_reads
   | Page_writes
@@ -197,189 +197,21 @@ let add t c n =
 
 let bump t c = add t c 1
 
-(* Process-wide physical I/O, across every Stats block ever created.  Never
-   reset: callers take deltas.  Lets the benchmark driver attribute total
-   I/O to a scenario even when the scenario builds several databases. *)
-let grand_io = ref 0
-
-let grand_total_io () = !grand_io
-
-(* Same idea for the robustness counters: process-wide monotonic totals so
-   the bench driver can report per-scenario deltas even when a scenario
-   builds several databases (each with its own Stats block). *)
-let g_checksum_failures = ref 0
-let g_scrub_pages = ref 0
-let g_repairs = ref 0
-let g_degraded_reads = ref 0
-let g_read_retries = ref 0
-
-let grand_robustness () =
-  (!g_checksum_failures, !g_scrub_pages, !g_repairs, !g_degraded_reads, !g_read_retries)
-
-let note_checksum_failure t =
-  add t Checksum_failures 1;
-  incr g_checksum_failures
-
-let note_scrub_page t =
-  add t Scrub_pages 1;
-  incr g_scrub_pages
-
-let note_repair t =
-  add t Repairs 1;
-  incr g_repairs
-
-let note_degraded_read t =
-  add t Degraded_reads 1;
-  incr g_degraded_reads
-
-let note_read_retry t =
-  add t Read_retries 1;
-  incr g_read_retries
-
-let note_failed_read t = add t Failed_reads 1
-let note_prefetch_issued t = add t Prefetch_issued 1
-let note_prefetch_hit t = add t Prefetch_hits 1
-
-(* Process-wide WAL totals, like [grand_io]: the bench driver reports
-   per-scenario append/flush deltas even when a scenario builds several
-   databases (each with its own Stats block and log handle). *)
-let g_wal_appends = ref 0
-let g_wal_flushes = ref 0
-let grand_wal () = (!g_wal_appends, !g_wal_flushes)
-
-let note_wal_append t ~bytes =
-  add t Wal_appends 1;
-  add t Wal_bytes bytes;
-  incr g_wal_appends
-
-let note_wal_flush t =
-  add t Wal_flushes 1;
-  incr g_wal_flushes
-
-(* Process-wide replication-shipping totals, same pattern as [grand_wal]:
-   the bench driver reports per-scenario deltas even when a scenario builds
-   a master and several replicas (each with its own Stats block). *)
-let g_frames_shipped = ref 0
-let g_frames_applied = ref 0
-let g_acks_waited = ref 0
-let grand_repl () = (!g_frames_shipped, !g_frames_applied, !g_acks_waited)
-
-let note_frame_shipped t =
-  add t Frames_shipped 1;
-  incr g_frames_shipped
-
-let note_frame_applied t =
-  add t Frames_applied 1;
-  incr g_frames_applied
-
-let note_ack_waited t =
-  add t Acks_waited 1;
-  incr g_acks_waited
-
+(* The two gauges are set, not accumulated, so they sit outside [add]. *)
 let set_replica_lag t ~bytes = t.replica_lag_bytes <- bytes
-
-(* Process-wide background-maintenance totals, same pattern as [grand_wal]:
-   the bench driver reports per-scenario deltas even when a scenario builds
-   several databases. *)
-let g_maint_steps = ref 0
-let g_maint_yields = ref 0
-let grand_maint () = (!g_maint_steps, !g_maint_yields)
-
-let note_maint_step t ~pages =
-  add t Maint_steps 1;
-  add t Maint_pages_walked pages;
-  incr g_maint_steps
-
-let note_maint_yield t =
-  add t Maint_lock_yields 1;
-  incr g_maint_yields
-
 let set_maint_backlog t ~pages = t.maint_backfill_pending <- pages
 
-(* Process-wide failover/liveness totals, same pattern as [grand_repl]: the
-   bench driver reports per-scenario deltas even when a scenario builds a
-   whole cluster (each node with its own Stats block). *)
-let g_peer_deaths = ref 0
-let g_ack_demotions = ref 0
-let g_heartbeats_missed = ref 0
-let g_failovers = ref 0
-let g_reconnects = ref 0
-
-let grand_failover () =
-  (!g_peer_deaths, !g_ack_demotions, !g_heartbeats_missed, !g_failovers, !g_reconnects)
-
-let note_peer_death t =
-  add t Peer_deaths 1;
-  incr g_peer_deaths
-
-let note_ack_demotion t =
-  add t Ack_demotions 1;
-  incr g_ack_demotions
-
-let note_heartbeat_missed t =
-  add t Heartbeats_missed 1;
-  incr g_heartbeats_missed
-
-let note_failover t =
-  add t Failovers 1;
-  incr g_failovers
-
-let note_reconnect t =
-  add t Reconnects 1;
-  incr g_reconnects
-
 let record_read t ~file =
-  incr grand_io;
   let r, w = Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file) in
   Hashtbl.replace t.by_file file (r + 1, w)
 
 let record_write t ~file =
-  incr grand_io;
   let r, w = Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file) in
   Hashtbl.replace t.by_file file (r, w + 1)
 
 let file_io t ~file = Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file)
 
-let copy t =
-  {
-    page_reads = t.page_reads;
-    page_writes = t.page_writes;
-    buffer_hits = t.buffer_hits;
-    pages_allocated = t.pages_allocated;
-    objects_read = t.objects_read;
-    objects_written = t.objects_written;
-    wal_appends = t.wal_appends;
-    wal_bytes = t.wal_bytes;
-    recovery_replays = t.recovery_replays;
-    txn_commits = t.txn_commits;
-    txn_aborts = t.txn_aborts;
-    lock_waits = t.lock_waits;
-    deadlocks = t.deadlocks;
-    undo_applied = t.undo_applied;
-    checksum_failures = t.checksum_failures;
-    scrub_pages = t.scrub_pages;
-    repairs = t.repairs;
-    degraded_reads = t.degraded_reads;
-    read_retries = t.read_retries;
-    failed_reads = t.failed_reads;
-    prefetch_issued = t.prefetch_issued;
-    prefetch_hits = t.prefetch_hits;
-    wal_flushes = t.wal_flushes;
-    frames_shipped = t.frames_shipped;
-    frames_applied = t.frames_applied;
-    acks_waited = t.acks_waited;
-    replica_lag_bytes = t.replica_lag_bytes;
-    maint_steps = t.maint_steps;
-    maint_pages_walked = t.maint_pages_walked;
-    maint_lock_yields = t.maint_lock_yields;
-    maint_backfill_pending = t.maint_backfill_pending;
-    peer_deaths = t.peer_deaths;
-    ack_demotions = t.ack_demotions;
-    heartbeats_missed = t.heartbeats_missed;
-    failovers = t.failovers;
-    reconnects = t.reconnects;
-    by_file = Hashtbl.copy t.by_file;
-  }
+let copy t = { t with by_file = Hashtbl.copy t.by_file }
 
 let diff now before =
   let by_file = Hashtbl.copy now.by_file in

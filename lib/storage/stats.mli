@@ -2,9 +2,15 @@
 
     The paper's entire evaluation is in units of page I/Os, so the storage
     layer counts every physical page read and write.  Buffer-pool hits are
-    tracked separately: a hit is a logical access that costs no I/O. *)
+    tracked separately: a hit is a logical access that costs no I/O.
 
-type t = {
+    Every block belongs to one instance (each [Pager] owns one); there are
+    no process-wide totals.  A caller that spans several databases sums
+    their blocks itself.  [t] is private: fields are readable everywhere,
+    but only {!add}, {!bump}, {!reset} and the gauge setters change them
+    ({!record_read}/{!record_write} fill [by_file]). *)
+
+type t = private {
   mutable page_reads : int;  (** physical page reads from disk *)
   mutable page_writes : int;  (** physical page writes to disk *)
   mutable buffer_hits : int;  (** logical accesses served from the pool *)
@@ -121,16 +127,16 @@ type counter =
 
 val add : t -> counter -> int -> unit
 (** [add t c n] adds [n] to counter [c].  This is the only place in the
-    tree that mutates a counter field (enforced by lint rule C1), so the
-    representation can later move to [Atomic] fetch-and-add without
-    touching call sites.  Note the [note_*] helpers below also maintain
-    process-wide totals; prefer them where one exists. *)
+    tree that mutates a counter field (enforced by the private type), so
+    the representation can later move to [Atomic] fetch-and-add without
+    touching call sites. *)
 
 val bump : t -> counter -> unit
 (** [bump t c] is [add t c 1]. *)
 
 val diff : t -> t -> t
-(** [diff now before] is the per-counter difference. *)
+(** [diff now before] is the per-counter difference (per file too); the two
+    gauges carry [now]'s value. *)
 
 val total_io : t -> int
 (** [page_reads + page_writes] — the quantity the paper's C functions
@@ -142,81 +148,12 @@ val record_write : t -> file:int -> unit
 val file_io : t -> file:int -> int * int
 (** (reads, writes) charged to one file since the last reset. *)
 
-val grand_total_io : unit -> int
-(** Process-wide physical page I/O across every stats block ever created.
-    Monotonic (never reset); callers take before/after deltas.  Lets the
-    benchmark driver attribute I/O to a scenario that builds several
-    databases. *)
-
-val grand_robustness : unit -> int * int * int * int * int
-(** Process-wide monotonic totals of [(checksum_failures, scrub_pages,
-    repairs, degraded_reads, read_retries)] across every stats block ever
-    created; callers take before/after deltas, like {!grand_total_io}. *)
-
-(** Incrementers for the robustness counters.  They bump both the per-block
-    field and the process-wide total, so use these rather than assigning the
-    fields directly. *)
-
-val note_checksum_failure : t -> unit
-val note_scrub_page : t -> unit
-val note_repair : t -> unit
-val note_degraded_read : t -> unit
-val note_read_retry : t -> unit
-val note_failed_read : t -> unit
-val note_prefetch_issued : t -> unit
-val note_prefetch_hit : t -> unit
-
-val grand_wal : unit -> int * int
-(** Process-wide monotonic [(wal_appends, wal_flushes)] across every stats
-    block; callers take before/after deltas, like {!grand_total_io}. *)
-
-val note_wal_append : t -> bytes:int -> unit
-(** Count one appended log record of [bytes] framed bytes (bumps the
-    per-block and process-wide counters). *)
-
-val note_wal_flush : t -> unit
-(** Count one physical flush of the log. *)
-
-val grand_repl : unit -> int * int * int
-(** Process-wide monotonic [(frames_shipped, frames_applied, acks_waited)]
-    across every stats block; callers take before/after deltas, like
-    {!grand_total_io}. *)
-
-val note_frame_shipped : t -> unit
-val note_frame_applied : t -> unit
-val note_ack_waited : t -> unit
-
 val set_replica_lag : t -> bytes:int -> unit
 (** Set the replication-lag gauge: bytes buffered for the slowest async
     peer.  A gauge, so {!diff} reports the current value, not a delta. *)
 
-val grand_maint : unit -> int * int
-(** Process-wide monotonic [(maint_steps, maint_lock_yields)] across every
-    stats block; callers take before/after deltas, like {!grand_total_io}. *)
-
-val note_maint_step : t -> pages:int -> unit
-(** Count one executed maintenance quantum that walked [pages] heap pages
-    (bumps the per-block and process-wide counters). *)
-
-val note_maint_yield : t -> unit
-(** Count one maintenance quantum that yielded to foreground locks. *)
-
 val set_maint_backlog : t -> pages:int -> unit
 (** Set the maintenance-backlog gauge: heap pages still to walk across all
     queued jobs.  A gauge, so {!diff} reports the current value. *)
-
-val grand_failover : unit -> int * int * int * int * int
-(** Process-wide monotonic [(peer_deaths, ack_demotions, heartbeats_missed,
-    failovers, reconnects)] across every stats block; callers take
-    before/after deltas, like {!grand_total_io}. *)
-
-(** Incrementers for the failover/liveness counters (per-block plus
-    process-wide, like the robustness counters). *)
-
-val note_peer_death : t -> unit
-val note_ack_demotion : t -> unit
-val note_heartbeat_missed : t -> unit
-val note_failover : t -> unit
-val note_reconnect : t -> unit
 
 val pp : Format.formatter -> t -> unit

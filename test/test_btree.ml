@@ -307,7 +307,7 @@ let test_lookup_touches_one_page_per_level () =
   checkb "three or more levels" true (h >= 3);
   let stats = Pager.stats pager in
   for i = 0 to 999 do
-    Pager.reset_stats pager;
+    Fieldrep_storage.Stats.reset stats;
     ignore (Btree.find_first t (Key.Int i));
     checki "pages touched"
       h (stats.Fieldrep_storage.Stats.buffer_hits + stats.Fieldrep_storage.Stats.page_reads)

@@ -16,6 +16,7 @@ module Gen = Fieldrep_workload.Gen
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
+let check_file = Alcotest.(check (pair int int))
 let vstr s = Value.VString s
 
 let test_per_file_stats () =
@@ -29,6 +30,42 @@ let test_per_file_stats () =
   Alcotest.(check (pair int int)) "untouched" (0, 0) (Stats.file_io stats ~file:9);
   Stats.reset stats;
   Alcotest.(check (pair int int)) "reset" (0, 0) (Stats.file_io stats ~file:3)
+
+let test_copy_is_independent () =
+  let stats = Stats.create () in
+  Stats.bump stats Stats.Page_reads;
+  Stats.record_read stats ~file:3;
+  let snap = Stats.copy stats in
+  Stats.bump stats Stats.Page_reads;
+  Stats.record_read stats ~file:3;
+  Stats.record_read stats ~file:5;
+  checki "counter frozen" 1 snap.Stats.page_reads;
+  check_file "file frozen" (1, 0) (Stats.file_io snap ~file:3);
+  check_file "new file absent" (0, 0) (Stats.file_io snap ~file:5);
+  checki "original moved on" 2 stats.Stats.page_reads;
+  check_file "original file" (2, 0) (Stats.file_io stats ~file:3)
+
+let test_diff_deltas_and_gauges () =
+  let stats = Stats.create () in
+  Stats.add stats Stats.Page_writes 4;
+  Stats.record_write stats ~file:2;
+  Stats.set_replica_lag stats ~bytes:500;
+  Stats.set_maint_backlog stats ~pages:9;
+  let before = Stats.copy stats in
+  Stats.add stats Stats.Page_writes 3;
+  Stats.bump stats Stats.Repairs;
+  Stats.record_write stats ~file:2;
+  Stats.record_read stats ~file:6;
+  Stats.set_replica_lag stats ~bytes:120;
+  Stats.set_maint_backlog stats ~pages:2;
+  let d = Stats.diff stats before in
+  checki "counter delta" 3 d.Stats.page_writes;
+  checki "new counter delta" 1 d.Stats.repairs;
+  checki "untouched counter" 0 d.Stats.page_reads;
+  check_file "file delta" (0, 1) (Stats.file_io d ~file:2);
+  check_file "new file delta" (1, 0) (Stats.file_io d ~file:6);
+  checki "lag gauge is current" 120 d.Stats.replica_lag_bytes;
+  checki "backlog gauge is current" 2 d.Stats.maint_backfill_pending
 
 let test_io_breakdown_attributes_structures () =
   let built =
@@ -130,6 +167,10 @@ let () =
       ( "io attribution",
         [
           Alcotest.test_case "per-file stats" `Quick test_per_file_stats;
+          Alcotest.test_case "copy is independent" `Quick
+            test_copy_is_independent;
+          Alcotest.test_case "diff: deltas and gauges" `Quick
+            test_diff_deltas_and_gauges;
           Alcotest.test_case "update query breakdown" `Quick
             test_io_breakdown_attributes_structures;
           Alcotest.test_case "read query per strategy" `Quick

@@ -14,6 +14,7 @@ module Disk = Fieldrep_storage.Disk
 module Pager = Fieldrep_storage.Pager
 module Wal = Fieldrep_wal.Wal
 module Recovery = Fieldrep_wal.Recovery
+module Txn = Fieldrep_txn.Txn
 module Ty = Fieldrep_model.Ty
 module Value = Fieldrep_model.Value
 module Schema = Fieldrep_model.Schema
@@ -418,6 +419,38 @@ let test_ack_mode_blocks () =
        (Wal.last_lsn (Option.get (Db.wal mdb))));
   check_converged ~what:"ack replica" mdb (Replica.db r);
   ignore m
+
+(* In Ack mode the loopback replica applies inside the master's commit
+   ([Wal.sync] pumps it while waiting for the ack).  The replica's page
+   I/O lands in its own stats block; the master's transaction is charged
+   exactly the I/O of the master's block, nothing of the replica's. *)
+let test_ack_io_attribution () =
+  let mdb = build_master () in
+  let m = Master.create ~mode:Master.Ack mdb in
+  let ma, rb, _, _ = Transport.loopback () in
+  (* a 4-frame pool, so the replica's apply misses and evicts *)
+  let r = Replica.connect ~frames:4 rb in
+  ignore (Master.attach ~pump:(fun () -> ignore (Replica.drain r)) m ma);
+  ignore (Replica.drain r);
+  let rdb = Replica.db r in
+  let ss = s_oids mdb in
+  let master0 = Stats.total_io (Db.stats mdb) in
+  let replica0 = Stats.total_io (Db.stats rdb) in
+  let tx = Db.begin_txn mdb in
+  for k = 0 to 5 do
+    Db.update_field ~txn:tx mdb ~set:"S" ss.(k) ~field:"repfield"
+      (Value.VString (Printf.sprintf "%020d" k))
+  done;
+  Db.commit mdb tx;
+  checkb "replica applied inside the commit" true
+    (Int64.equal (Replica.last_applied r)
+       (Wal.last_lsn (Option.get (Db.wal mdb))));
+  checkb "replica did page I/O" true
+    (Stats.total_io (Db.stats rdb) > replica0);
+  checki "txn charged the master's own I/O"
+    (Stats.total_io (Db.stats mdb) - master0)
+    (Txn.io tx);
+  check_converged ~what:"ack replica" mdb rdb
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -858,6 +891,8 @@ let () =
           Alcotest.test_case "abort marker in stream" `Quick
             test_abort_marker_stream;
           Alcotest.test_case "ack mode blocks" `Quick test_ack_mode_blocks;
+          Alcotest.test_case "ack txn I/O stays on the master" `Quick
+            test_ack_io_attribution;
           Alcotest.test_case "replica is read-only" `Quick test_replica_read_only;
           Alcotest.test_case "two replicas" `Quick test_two_replicas;
         ] );

@@ -262,9 +262,9 @@ let test_db_deadlock () =
     (Db.field_value db ~set:"R" (Db.get db ~set:"R" rb) "field_r");
   Db.check_integrity db
 
-(* Satellite: undo I/O is real I/O — counted in the global ledger and
+(* Undo I/O is real I/O — counted in the database's own stats block and
    attributed to the aborting transaction (regression for the bug where
-   rollback page writes escaped [grand_total_io]). *)
+   rollback page writes escaped the transaction's I/O charge). *)
 let test_abort_io_attribution () =
   let built = Gen.build (small_spec ~frames:4 Params.Inplace 13) in
   let db = built.Gen.db in

@@ -2,7 +2,7 @@
    fixture linted under a virtual path reports that path. *)
 
 type t = {
-  rule : string;  (* "L1" .. "F1", "S1"/"O1"/"C1"/"A1", or "parse-error" *)
+  rule : string;  (* "L1" .. "F1", "S1"/"O1"/"A1", or "parse-error" *)
   loc : Location.t;
   message : string;
 }

@@ -533,60 +533,8 @@ let s1 i =
   end
 
 (* ------------------------------------------------------------------ *)
-(* C1: no bare Stats counter increments.  [s.field <- s.field + n] is a   *)
-(* lost-update race the moment two domains touch the same block; every    *)
-(* counter bump goes through the blessed Stats.bump/Stats.add so the      *)
-(* representation can become Atomic in one place.  The single permitted   *)
-(* mutation site is Stats.add itself (lib/storage/stats.ml).  Scope:      *)
-(* lib/, bin/ and bench/.                                                 *)
 
-let c1_stats_fields =
-  [
-    "page_reads"; "page_writes"; "buffer_hits"; "pages_allocated";
-    "objects_read"; "objects_written"; "wal_appends"; "wal_bytes";
-    "recovery_replays"; "txn_commits"; "txn_aborts"; "lock_waits";
-    "deadlocks"; "undo_applied"; "checksum_failures"; "scrub_pages";
-    "repairs"; "degraded_reads"; "read_retries"; "failed_reads";
-    "prefetch_issued"; "prefetch_hits"; "wal_flushes"; "frames_shipped";
-    "frames_applied"; "acks_waited"; "replica_lag_bytes"; "maint_steps";
-    "maint_pages_walked"; "maint_lock_yields"; "maint_backfill_pending";
-    "peer_deaths"; "ack_demotions"; "heartbeats_missed"; "failovers";
-    "reconnects";
-  ]
-
-let c1 i =
-  if i.rel_path = "lib/storage/stats.ml" then []
-  else if not (in_lib i || under "bin" i.rel_path || under "bench" i.rel_path)
-  then []
-  else begin
-    let acc = ref [] in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun it e ->
-            (match e.pexp_desc with
-            | Pexp_setfield (_, lid, _) -> (
-                match List.rev (Lint_ast.flatten lid.Location.txt) with
-                | field :: _ when List.mem field c1_stats_fields ->
-                    acc :=
-                      diag "C1" e.pexp_loc
-                        "direct mutation of Stats field '%s'; use Stats.bump \
-                         / Stats.add (the single blessed mutation point)"
-                        field
-                      :: !acc
-                | _ -> ())
-            | _ -> ());
-            Ast_iterator.default_iterator.expr it e);
-      }
-    in
-    it.structure it i.str;
-    List.rev !acc
-  end
-
-(* ------------------------------------------------------------------ *)
-
-let all i = List.concat [ l1 i; p1 i; d1 i; e1 i; f1 i; s1 i; c1 i ]
+let all i = List.concat [ l1 i; p1 i; d1 i; e1 i; f1 i; s1 i ]
 
 (* O1 is interprocedural: it sees every parsed unit at once and returns
    diagnostics tagged with the file they belong to, so the driver can

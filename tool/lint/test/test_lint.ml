@@ -131,22 +131,6 @@ let test_o1_good () =
   check_clean "forward order, release spans and isolated boundary accepted"
     (lint ~as_path:"lib/core/fixture.ml" "o1_good.ml")
 
-(* ---------------- C1 ---------------- *)
-
-let test_c1_bad () =
-  let ds = lint ~as_path:"lib/core/fixture.ml" "c1_bad.ml" in
-  check_count "bare counter increments flagged" 2 "C1" ds
-
-let test_c1_good () =
-  check_clean "Stats.bump/add and non-Stats fields accepted"
-    (lint ~as_path:"lib/core/fixture.ml" "c1_good.ml")
-
-let test_c1_stats_exempt () =
-  (* The blessed mutation point itself is the one file allowed to assign
-     counter fields. *)
-  let ds = lint ~as_path:"lib/storage/stats.ml" "c1_bad.ml" in
-  check_count "stats.ml is the blessed mutation point" 0 "C1" ds
-
 (* ---------------- A1: unused allowlist entries ---------------- *)
 
 let test_allowlist_unused () =
@@ -225,12 +209,6 @@ let () =
           tc "protected-by-wrong-rule" test_s1_protected_by_wrong_rule;
         ] );
       ("O1", [ tc "bad" test_o1_bad; tc "good" test_o1_good ]);
-      ( "C1",
-        [
-          tc "bad" test_c1_bad;
-          tc "good" test_c1_good;
-          tc "stats-exempt" test_c1_stats_exempt;
-        ] );
       ( "suppression",
         [
           tc "site-attribute" test_suppress_site;
