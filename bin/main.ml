@@ -194,13 +194,7 @@ let validate_cmd =
 
 let script_cmd =
   let run file db_image save_image backend =
-    let contents =
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
+    let contents = In_channel.with_open_bin file In_channel.input_all in
     let db =
       match db_image with
       | Some path -> Db.load ?backend path

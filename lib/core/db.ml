@@ -19,6 +19,7 @@ module Maint = Fieldrep_maint.Maint
 module Wal = Fieldrep_wal.Wal
 module Recovery = Fieldrep_wal.Recovery
 module Lockdep = Fieldrep_util.Lockdep
+module Wire = Fieldrep_util.Wire
 module Lock = Fieldrep_txn.Lock
 module Txn = Fieldrep_txn.Txn
 
@@ -1283,59 +1284,55 @@ let rep_state_of_u8 = function
   | 3 -> Schema.Dropped
   | k -> invalid_arg (Printf.sprintf "Db.load: bad replication state %d" k)
 
-let save t path =
+(* Catalog entries are WAL record bodies ([Wal.encode_body]), so a type,
+   replication or index definition has one encoding on disk: a type is
+   [u16 tag] + [Define_type]; a replication [u16 rep_id] + [Replicate] +
+   [u8 state]; an index [Build_index] + [u32 file, u32 root, i64 count]. *)
+let image t =
   (* Make the on-disk state complete and self-describing first.  The log
      must reach the OS before its LSN is stamped into the image: a
      checkpoint is a durability point. *)
   Engine.flush_pending t.engine;
   (match t.wal with Some w -> Wal.sync w | None -> ());
   Pager.flush t.pager;
+  let disk = Pager.disk t.pager in
   let buf = Buffer.create (1 lsl 20) in
-  let put_u8 v = Buffer.add_uint8 buf (v land 0xff) in
-  let put_u16 v = Buffer.add_uint16_le buf (v land 0xffff) in
-  let put_u32 v =
-    assert (v >= 0 && v < 0x1_0000_0000);
-    Buffer.add_int32_le buf (Int32.of_int v)
+  (* Append the [n] bytes the Wire writer [write] puts at offset 0. *)
+  let put n write =
+    let b = Bytes.create n in
+    let off = write b 0 in
+    assert (off = n);
+    Buffer.add_bytes buf b
   in
-  let put_u64 v = Buffer.add_int64_le buf (Int64.of_int v) in
-  let put_str s =
-    put_u16 (String.length s);
-    Buffer.add_string buf s
-  in
+  let put_count l = put 2 (fun b o -> Wire.put_u16 b o (List.length l)) in
+  let put_body r = Buffer.add_bytes buf (Wal.encode_body r) in
   Buffer.add_string buf image_magic;
-  put_u32 (Pager.page_size t.pager);
   (* Durability header: the checkpoint's LSN stamp (recovery redoes only
      log records beyond it), the log this database was writing to, and the
      disk's file-id watermark (deleted files leave holes that allocation
      replay must not re-fill). *)
-  put_u64 (match t.wal with Some w -> Int64.to_int (Wal.last_lsn w) | None -> 0);
-  put_str (match t.wal with Some w -> Wal.path w | None -> "");
-  put_u32 (Disk.next_file_id (Pager.disk t.pager));
+  let lsn, wal_path =
+    match t.wal with Some w -> (Wal.last_lsn w, Wal.path w) | None -> (0L, "")
+  in
+  put (16 + Wire.string_size wal_path) (fun b o ->
+      let o = Wire.put_u32 b o (Pager.page_size t.pager) in
+      let o = Wire.put_i64 b o lsn in
+      let o = Wire.put_string b o wal_path in
+      Wire.put_u32 b o (Disk.next_file_id disk));
   (* Types, in tag order so replay reassigns identical tags. *)
   let types =
     List.map (fun ty -> (Schema.type_tag t.schema ty.Ty.tname, ty)) (Schema.types t.schema)
     |> List.sort compare
   in
-  put_u16 (List.length types);
+  put_count types;
   List.iter
-    (fun (tag, (ty : Ty.t)) ->
-      put_u16 tag;
-      put_str ty.Ty.tname;
-      put_u16 (List.length ty.Ty.fields);
-      List.iter
-        (fun (f : Ty.field) ->
-          put_str f.Ty.fname;
-          match f.Ty.ftype with
-          | Ty.Scalar Ty.SInt -> put_u8 0
-          | Ty.Scalar Ty.SString -> put_u8 1
-          | Ty.Ref target ->
-              put_u8 2;
-              put_str target)
-        ty.Ty.fields)
+    (fun (tag, ty) ->
+      put 2 (fun b o -> Wire.put_u16 b o tag);
+      put_body (Wal.Define_type ty))
     types;
   (* Sets, in creation order, with their heap-file bindings. *)
   let sets = Schema.sets t.schema in
-  put_u16 (List.length sets);
+  put_count sets;
   List.iter
     (fun (name, elem) ->
       let hf =
@@ -1343,30 +1340,33 @@ let save t path =
         | Some hf -> hf
         | None -> invalid_arg ("Db.checkpoint: set without heap file: " ^ name)
       in
-      put_str name;
-      put_str elem;
-      put_u32 (Heap_file.file_id hf);
-      put_u32 (Heap_file.reserve hf))
+      put (Wire.string_size name + Wire.string_size elem + 8) (fun b o ->
+          let o = Wire.put_string b o name in
+          let o = Wire.put_string b o elem in
+          let o = Wire.put_u32 b o (Heap_file.file_id hf) in
+          Wire.put_u32 b o (Heap_file.reserve hf)))
     sets;
   (* Replication declarations, in rep-id order — [Dropped] ones included,
      because the full sequence is what fixes hidden-slot layout and
      link-id allocation. *)
   let reps = Schema.all_replications t.schema in
-  put_u16 (List.length reps);
+  put_count reps;
   List.iter
     (fun (r : Schema.replication) ->
-      put_u16 r.Schema.rep_id;
-      put_str (Path.to_string r.Schema.rpath);
-      put_u8 (match r.Schema.strategy with Schema.Inplace -> 0 | Schema.Separate -> 1);
-      put_u8 (if r.Schema.options.Schema.collapse then 1 else 0);
-      put_u16 r.Schema.options.Schema.small_link_threshold;
-      put_u8 (if r.Schema.options.Schema.lazy_propagation then 1 else 0);
-      put_u8 (if r.Schema.options.Schema.cluster_links then 1 else 0);
-      put_u8 (u8_of_rep_state (Schema.rep_state t.schema r.Schema.rep_id)))
+      put 2 (fun b o -> Wire.put_u16 b o r.Schema.rep_id);
+      put_body
+        (Wal.Replicate
+           {
+             path = Path.to_string r.Schema.rpath;
+             strategy = r.Schema.strategy;
+             options = r.Schema.options;
+           });
+      let state = u8_of_rep_state (Schema.rep_state t.schema r.Schema.rep_id) in
+      put 1 (fun b o -> Wire.put_u8 b o state))
     reps;
   (* Indexes, in creation order, with tree roots. *)
   let index_defs = Schema.indexes t.schema in
-  put_u16 (List.length index_defs);
+  put_count index_defs;
   List.iter
     (fun (d : Schema.index_def) ->
       let rt =
@@ -1374,217 +1374,157 @@ let save t path =
         | Some rt -> rt
         | None -> invalid_arg ("Db.checkpoint: unknown index: " ^ d.Schema.iname)
       in
-      put_str d.Schema.iname;
-      put_str d.Schema.iset;
-      put_str d.Schema.ifield;
-      put_u8 (if d.Schema.clustered then 1 else 0);
-      put_u32 (Btree.file_id rt.tree);
-      put_u32 (Btree.root rt.tree);
-      put_u64 (Btree.entry_count rt.tree))
+      put_body
+        (Wal.Build_index
+           { name = d.Schema.iname; set = d.Schema.iset; field = d.Schema.ifield;
+             clustered = d.Schema.clustered });
+      put 16 (fun b o ->
+          let o = Wire.put_u32 b o (Btree.file_id rt.tree) in
+          let o = Wire.put_u32 b o (Btree.root rt.tree) in
+          Wire.put_int b o (Btree.entry_count rt.tree)))
     index_defs;
-  (* Replication storage bindings. *)
+  (* Replication storage bindings: link files, then S' files. *)
   let links, sprimes = Store.bindings t.store in
-  put_u16 (List.length links);
   List.iter
-    (fun (link_id, file_id) ->
-      put_u16 link_id;
-      put_u32 file_id)
-    links;
-  put_u16 (List.length sprimes);
-  List.iter
-    (fun (rep_id, file_id) ->
-      put_u16 rep_id;
-      put_u32 file_id)
-    sprimes;
+    (fun bindings ->
+      put_count bindings;
+      List.iter
+        (fun (id, file_id) ->
+          put 6 (fun b o -> Wire.put_u32 b (Wire.put_u16 b o id) file_id))
+        bindings)
+    [ links; sprimes ];
   (* Raw disk contents. *)
-  let disk = Pager.disk t.pager in
   let file_ids = Disk.file_ids disk in
-  put_u32 (List.length file_ids);
+  put 4 (fun b o -> Wire.put_u32 b o (List.length file_ids));
   List.iter
     (fun id ->
-      put_u32 id;
       let npages = Disk.page_count disk id in
-      put_u32 npages;
+      put 8 (fun b o -> Wire.put_u32 b (Wire.put_u32 b o id) npages);
       for page = 0 to npages - 1 do
         Buffer.add_bytes buf (Disk.dump_page disk ~file:id ~page)
       done)
     file_ids;
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf)
+  Buffer.contents buf
 
-(* Restore a database from an image, returning the checkpoint's durability
-   header alongside it: (db, checkpoint lsn, wal path recorded at save). *)
-let load_image ?(frames = 256) ?backend path =
-  let data =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let pos = ref 0 in
-  let get_u8 () =
-    let v = Char.code data.[!pos] in
-    incr pos;
+let save t path =
+  let data = image t in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* Restore a database from image bytes, returning the checkpoint's
+   durability header alongside it: (db, checkpoint lsn, wal path recorded
+   at save).  A malformed image raises [Wire.Corrupt] from the first read
+   that fails; it surfaces as [Invalid_argument "Db.load: ..."]. *)
+let of_image ?(frames = 256) ?backend data =
+  if not (String.starts_with ~prefix:image_magic data) then
+    invalid_arg "Db.load: not a fieldrep database image";
+  let buf = Bytes.unsafe_of_string data in
+  let pos = ref (String.length image_magic) in
+  let get decode =
+    let v, off = decode buf !pos in
+    pos := off;
     v
   in
-  let get_u16 () =
-    let v = get_u8 () in
-    v lor (get_u8 () lsl 8)
-  in
-  let get_u32 () =
-    let v = get_u16 () in
-    v lor (get_u16 () lsl 16)
-  in
-  let get_u64 () =
-    let lo = get_u32 () in
-    lo lor (get_u32 () lsl 32)
-  in
-  let get_str () =
-    let n = get_u16 () in
-    let s = String.sub data !pos n in
-    pos := !pos + n;
-    s
-  in
-  let magic = String.sub data 0 (String.length image_magic) in
-  pos := String.length image_magic;
-  if magic <> image_magic then invalid_arg "Db.load: not a fieldrep database image";
-  let page_size = get_u32 () in
-  let checkpoint_lsn = Int64.of_int (get_u64 ()) in
-  let saved_wal_path = get_str () in
-  let next_file_id = get_u32 () in
-  let t = create ~page_size ~frames ?backend () in
-  (* Types. *)
-  let ntypes = get_u16 () in
-  for _ = 1 to ntypes do
-    let tag = get_u16 () in
-    let name = get_str () in
-    let nfields = get_u16 () in
-    let fields =
-      List.init nfields (fun _ ->
-          let fname = get_str () in
-          match get_u8 () with
-          | 0 -> { Ty.fname; ftype = Ty.Scalar Ty.SInt }
-          | 1 -> { Ty.fname; ftype = Ty.Scalar Ty.SString }
-          | 2 -> { Ty.fname; ftype = Ty.Ref (get_str ()) }
-          | k -> invalid_arg (Printf.sprintf "Db.load: bad field kind %d" k))
-    in
-    Schema.define_type t.schema (Ty.make ~name fields);
-    if Schema.type_tag t.schema name <> tag then
-      invalid_arg "Db.load: type tag replay mismatch"
-  done;
-  (* Sets (heap files attached after the disk is restored). *)
-  let nsets = get_u16 () in
-  let set_bindings =
-    List.init nsets (fun _ ->
-        let name = get_str () in
-        let elem = get_str () in
-        let file_id = get_u32 () in
-        let reserve = get_u32 () in
-        Schema.create_set t.schema ~name ~elem_type:elem;
-        (name, file_id, reserve))
-  in
-  (* Replications. *)
-  let nreps = get_u16 () in
-  for _ = 1 to nreps do
-    let rep_id = get_u16 () in
-    let path = Path.parse (get_str ()) in
-    let strategy = if get_u8 () = 0 then Schema.Inplace else Schema.Separate in
-    let collapse = get_u8 () = 1 in
-    let small_link_threshold = get_u16 () in
-    let lazy_propagation = get_u8 () = 1 in
-    let cluster_links = get_u8 () = 1 in
-    let state = rep_state_of_u8 (get_u8 ()) in
-    let rep =
-      Schema.add_replication t.schema
-        ~options:{ Schema.collapse; small_link_threshold; lazy_propagation; cluster_links }
-        ~state ~strategy path
-    in
-    if rep.Schema.rep_id <> rep_id then invalid_arg "Db.load: rep id replay mismatch"
-  done;
-  (* Indexes (trees attached after the disk is restored). *)
-  let nindexes = get_u16 () in
-  let index_bindings =
-    List.init nindexes (fun _ ->
-        let iname = get_str () in
-        let iset = get_str () in
-        let ifield = get_str () in
-        let clustered = get_u8 () = 1 in
-        let file_id = get_u32 () in
-        let root = get_u32 () in
-        let count = get_u64 () in
-        Schema.add_index t.schema { Schema.iname; iset; ifield; clustered };
-        (iname, iset, ifield, file_id, root, count))
-  in
-  let nlinks = get_u16 () in
-  let link_bindings =
-    List.init nlinks (fun _ ->
-        let link_id = get_u16 () in
-        let file_id = get_u32 () in
-        (link_id, file_id))
-  in
-  let nsprimes = get_u16 () in
-  let sprime_bindings =
-    List.init nsprimes (fun _ ->
-        let rep_id = get_u16 () in
-        let file_id = get_u32 () in
-        (rep_id, file_id))
-  in
-  (* Disk contents. *)
-  let disk = Pager.disk t.pager in
-  let nfiles = get_u32 () in
-  for _ = 1 to nfiles do
-    let id = get_u32 () in
-    let npages = get_u32 () in
-    let pages =
-      Array.init npages (fun _ ->
-          let b = Bytes.of_string (String.sub data !pos page_size) in
-          pos := !pos + page_size;
-          b)
-    in
-    Disk.restore_file disk ~id pages
-  done;
-  (* Re-establish the file-id watermark: files created and later deleted
-     before the checkpoint left holes, and replayed allocations must not
-     re-fill them or every subsequent file id would diverge. *)
-  Disk.reserve_file_ids disk next_file_id;
-  (* Attach heap files and trees to the restored pages. *)
-  List.iter
-    (fun (name, file_id, reserve) ->
-      let hf = Heap_file.attach ~reserve t.pager ~file:file_id in
-      Hashtbl.replace t.sets name hf;
-      Hashtbl.replace t.data_files file_id (name, hf))
-    set_bindings;
-  List.iter
-    (fun (iname, iset, ifield, file_id, root, count) ->
-      let tree = Btree.attach t.pager ~file:file_id ~root ~count in
-      let value_index = resolve_index_field t ~set:iset ~field:ifield in
-      let def = List.find (fun d -> d.Schema.iname = iname) (Schema.indexes t.schema) in
-      Hashtbl.replace t.indexes iname { def; tree; value_index })
-    index_bindings;
-  List.iter
-    (fun (link_id, file_id) ->
-      Store.bind_link t.store ~link_id (Heap_file.attach t.pager ~file:file_id))
-    link_bindings;
-  List.iter
-    (fun (rep_id, file_id) ->
-      Store.bind_sprime t.store ~rep_id (Heap_file.attach t.pager ~file:file_id))
-    sprime_bindings;
-  Engine.recompile t.engine;
-  (* Re-queue in-flight reconfigurations at cursor 0: the image may have
-     been taken mid-job, and re-walking already-processed pages is safe
-     because the per-source operations are idempotent.  Logged [Maint_step]
-     records (if this load is the front half of a recovery) then fast-
-     forward the cursor through [advance_to]. *)
-  List.iter
-    (fun (r : Schema.replication) ->
-      match Schema.rep_state t.schema r.Schema.rep_id with
-      | Schema.Building -> enqueue_backfill t r
-      | Schema.Dropping -> enqueue_teardown t r
-      | Schema.Active | Schema.Dropped -> ())
-    (Schema.replications t.schema);
-  (t, checkpoint_lsn, saved_wal_path)
+  (* Heap files and trees attach to their pages once the disk is restored;
+     [later] queues those steps, run in image order. *)
+  let attach = ref [] in
+  let later f = attach := f :: !attach in
+  try
+    let page_size = get Wire.get_u32 in
+    let checkpoint_lsn = get Wire.get_i64 in
+    let saved_wal_path = get Wire.get_string in
+    let next_file_id = get Wire.get_u32 in
+    let t = create ~page_size ~frames ?backend () in
+    (* Types.  [Wal.decode_body] kind 0 is a [Define_type], 5 a
+       [Replicate], 6 a [Build_index]. *)
+    for _ = 1 to get Wire.get_u16 do
+      let tag = get Wire.get_u16 in
+      match get (Wal.decode_body 0) with
+      | Wal.Define_type ty ->
+          Schema.define_type t.schema ty;
+          if Schema.type_tag t.schema ty.Ty.tname <> tag then
+            invalid_arg "Db.load: type tag replay mismatch"
+      | _ -> assert false
+    done;
+    for _ = 1 to get Wire.get_u16 do
+      let name = get Wire.get_string in
+      let elem_type = get Wire.get_string in
+      let file = get Wire.get_u32 in
+      let reserve = get Wire.get_u32 in
+      Schema.create_set t.schema ~name ~elem_type;
+      later (fun () ->
+          let hf = Heap_file.attach ~reserve t.pager ~file in
+          Hashtbl.replace t.sets name hf;
+          Hashtbl.replace t.data_files file (name, hf))
+    done;
+    for _ = 1 to get Wire.get_u16 do
+      let rep_id = get Wire.get_u16 in
+      match get (Wal.decode_body 5) with
+      | Wal.Replicate { path; strategy; options } ->
+          let state = rep_state_of_u8 (get Wire.get_u8) in
+          let rep =
+            Schema.add_replication t.schema ~options ~state ~strategy (Path.parse path)
+          in
+          if rep.Schema.rep_id <> rep_id then invalid_arg "Db.load: rep id replay mismatch"
+      | _ -> assert false
+    done;
+    for _ = 1 to get Wire.get_u16 do
+      match get (Wal.decode_body 6) with
+      | Wal.Build_index { name; set; field; clustered } ->
+          let file = get Wire.get_u32 in
+          let root = get Wire.get_u32 in
+          let count = get Wire.get_int in
+          let def = { Schema.iname = name; iset = set; ifield = field; clustered } in
+          Schema.add_index t.schema def;
+          later (fun () ->
+              let tree = Btree.attach t.pager ~file ~root ~count in
+              let value_index = resolve_index_field t ~set ~field in
+              Hashtbl.replace t.indexes name { def; tree; value_index })
+      | _ -> assert false
+    done;
+    for _ = 1 to get Wire.get_u16 do
+      let link_id = get Wire.get_u16 in
+      let file = get Wire.get_u32 in
+      later (fun () -> Store.bind_link t.store ~link_id (Heap_file.attach t.pager ~file))
+    done;
+    for _ = 1 to get Wire.get_u16 do
+      let rep_id = get Wire.get_u16 in
+      let file = get Wire.get_u32 in
+      later (fun () -> Store.bind_sprime t.store ~rep_id (Heap_file.attach t.pager ~file))
+    done;
+    (* Disk contents. *)
+    let disk = Pager.disk t.pager in
+    for _ = 1 to get Wire.get_u32 do
+      let id = get Wire.get_u32 in
+      let npages = get Wire.get_u32 in
+      Wire.check_bounds buf !pos (npages * page_size);
+      Disk.restore_file disk ~id
+        (Array.init npages (fun i -> Bytes.sub buf (!pos + (i * page_size)) page_size));
+      pos := !pos + (npages * page_size)
+    done;
+    if !pos <> Bytes.length buf then raise (Wire.Corrupt "trailing bytes");
+    (* Re-establish the file-id watermark: files created and later deleted
+       before the checkpoint left holes, and replayed allocations must not
+       re-fill them or every subsequent file id would diverge. *)
+    Disk.reserve_file_ids disk next_file_id;
+    List.iter (fun f -> f ()) (List.rev !attach);
+    Engine.recompile t.engine;
+    (* Re-queue in-flight reconfigurations at cursor 0: the image may have
+       been taken mid-job, and re-walking already-processed pages is safe
+       because the per-source operations are idempotent.  Logged [Maint_step]
+       records (if this load is the front half of a recovery) then fast-
+       forward the cursor through [advance_to]. *)
+    List.iter
+      (fun (r : Schema.replication) ->
+        match Schema.rep_state t.schema r.Schema.rep_id with
+        | Schema.Building -> enqueue_backfill t r
+        | Schema.Dropping -> enqueue_teardown t r
+        | Schema.Active | Schema.Dropped -> ())
+      (Schema.replications t.schema);
+    (t, checkpoint_lsn, saved_wal_path)
+  with Wire.Corrupt msg -> invalid_arg ("Db.load: " ^ msg)
+
+let load_image ?frames ?backend path =
+  of_image ?frames ?backend (In_channel.with_open_bin path In_channel.input_all)
 
 let load ?frames ?backend path =
   let t, _, _ = load_image ?frames ?backend path in
@@ -1724,8 +1664,8 @@ let recover ?frames ?wal_path ?backend path =
 (* ------------------------------------------------------------------ *)
 (* Streaming replication (replica side)                                *)
 
-let open_replica ?frames ?backend path =
-  let t = load ?frames ?backend path in
+let open_replica ?frames ?backend ~image () =
+  let t, _, _ = of_image ?frames ?backend image in
   t.replica_mode <- true;
   t
 

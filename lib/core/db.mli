@@ -320,17 +320,26 @@ val dangling_references : t -> (string * Oid.t * string) list
 
 (** {1 Database images} *)
 
+val image : t -> string
+(** A self-contained image of the database — catalog, every data, index,
+    link and S' page — as bytes.  Pending lazy propagations are flushed
+    first, so the image is fully propagated, and a durable database syncs
+    its log and stamps the image with the log's last LSN.  Catalog entries
+    are WAL record bodies ({!Fieldrep_wal.Wal.encode_body}).  The replica
+    bootstrap ships these bytes as they are ({!open_replica}). *)
+
 val save : t -> string -> unit
-(** Write a self-contained image of the database — catalog, every data,
-    index, link and S' page — to a file.  Pending lazy propagations are
-    flushed first so the image is fully propagated. *)
+(** Write {!image} to a file. *)
 
 val load : ?frames:int -> ?backend:backend -> string -> t
-(** Reopen an image written by {!save}.  Raises [Invalid_argument] on a
-    malformed or foreign file.  The reopened database is not durable;
-    use {!recover} to reattach the log.  [backend] selects the page store
-    the image is restored into (images are backend-agnostic: a database
-    saved from a [Mem] store can be reopened on [File] and vice versa). *)
+(** Reopen an image written by {!save}.  Raises [Invalid_argument] whose
+    message starts with ["Db.load: "] on a malformed or foreign file —
+    including a truncated image, one with trailing bytes, and one with an
+    unknown field kind, strategy or replication state.  The reopened
+    database is not durable; use {!recover} to reattach the log.
+    [backend] selects the page store the image is restored into (images
+    are backend-agnostic: a database saved from a [Mem] store can be
+    reopened on [File] and vice versa). *)
 
 (** {1 Checkpoints and crash recovery}
 
@@ -372,10 +381,12 @@ val recover : ?frames:int -> ?wal_path:string -> ?backend:backend -> string -> t
     reads — {!get}, {!deref}, {!scan}, index access — while every mutating
     entry point raises [Invalid_argument]. *)
 
-val open_replica : ?frames:int -> ?backend:backend -> string -> t
-(** Reopen a {!save}/{!checkpoint} image as a read-only replica.  Not
+val open_replica : ?frames:int -> ?backend:backend -> image:string -> unit -> t
+(** Open {!image} bytes (from {!save}/{!checkpoint} or a master's
+    snapshot) as a read-only replica, with no file in between.  Not
     durable: the master's log is the log; the replica redoes shipped
-    records straight into its pages. *)
+    records straight into its pages.  Raises [Invalid_argument] as {!load}
+    does. *)
 
 val is_replica : t -> bool
 

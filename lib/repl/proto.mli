@@ -39,7 +39,7 @@ type msg =
       (** replica's first message: [0L] asks for a {!Snapshot} bootstrap,
           a later LSN asks for catch-up from there (rejoin) *)
   | Snapshot of { lsn : int64; bytes : int64; image : string }
-      (** a [Db.save] image stamped with the log position and cumulative
+      (** a [Db.image] image stamped with the log position and cumulative
           WAL bytes it reflects *)
   | Frames of Bytes.t list  (** raw WAL frames, in LSN order *)
   | Commit of { lsn : int64; bytes : int64 }

@@ -343,6 +343,16 @@ let rec get_body kind buf off =
       (Epoch_change { epoch }, off)
   | k -> raise (Wire.Corrupt (Printf.sprintf "Wal: bad record kind %d" k))
 
+let encode_body record =
+  let buf = Bytes.create (body_size record) in
+  ignore (put_body buf 0 record);
+  buf
+
+(* [Ty.make] validates a decoded type with [Invalid_argument]; a body that
+   fails it is as malformed as one that fails a bounds check. *)
+let decode_body kind buf off =
+  try get_body kind buf off with Invalid_argument msg -> raise (Wire.Corrupt msg)
+
 (* FNV-1a, 32-bit: cheap, dependency-free, catches torn frames.  The same
    function seals disk pages (see [Fieldrep_storage.Disk]). *)
 let crc = Fieldrep_storage.Checksum.fnv1a32
@@ -423,38 +433,48 @@ let set_tap t tap =
   t.tap <- tap;
   t.tap_pending <- []
 
-(* Scan the frames of an existing log file.  Returns the raw (lsn, record)
-   list and the offset just past the last well-formed frame. *)
-let scan data =
-  let len = String.length data in
+(* The one frame parser: the frame [len | crc | lsn | kind | body] at
+   [pos] as (lsn, record, offset just past it).  Raises [Wire.Corrupt] on
+   a short, torn or checksum-failing frame and on a CRC-valid one whose
+   body does not decode — the first frame this rejects is where a log
+   ends, for [open_], [read_frames] and [truncate_file] alike. *)
+let frame_at buf pos =
+  let flen, p = Wire.get_u32 buf pos in
+  let fcrc, p = Wire.get_u32 buf p in
+  if flen < 9 then raise (Wire.Corrupt "Wal: bad frame length");
+  Wire.check_bounds buf p flen;
+  if crc buf p flen <> fcrc then
+    raise (Wire.Corrupt "Wal: frame checksum mismatch");
+  let lsn, o = Wire.get_i64 buf p in
+  let kind, o = Wire.get_u8 buf o in
+  let r, o = decode_body kind buf o in
+  if o <> p + flen then raise (Wire.Corrupt "Wal: frame length mismatch");
+  (lsn, r, o)
+
+(* Every frame of a log file's bytes up to the first one [frame_at]
+   rejects, as (lsn, record, start, stop) in file order, and the offset
+   where the good prefix ends (0 for an empty file). *)
+let walk data =
   let buf = Bytes.unsafe_of_string data in
-  let acc = ref [] in
-  let pos = ref (String.length magic) in
-  let stop = ref false in
-  while not !stop do
-    if !pos + 8 > len then stop := true
-    else begin
-      let flen, p = Wire.get_u32 buf !pos in
-      let fcrc, p = Wire.get_u32 buf p in
-      if flen < 9 || p + flen > len then stop := true
-      else if crc buf p flen <> fcrc then stop := true
-      else begin
-        match
-          let lsn, o = Wire.get_i64 buf p in
-          let kind, o = Wire.get_u8 buf o in
-          let r, o = get_body kind buf o in
-          if o <> p + flen then raise (Wire.Corrupt "Wal: frame length mismatch");
-          (lsn, r)
-        with
-        | entry ->
-            acc := entry :: !acc;
-            pos := p + flen
-        | exception Wire.Corrupt _ -> stop := true
-        | exception Invalid_argument _ -> stop := true
-      end
-    end
-  done;
-  (List.rev !acc, !pos)
+  let rec go pos acc =
+    match frame_at buf pos with
+    | lsn, r, stop -> go stop ((lsn, r, pos, stop) :: acc)
+    | exception Wire.Corrupt _ -> (List.rev acc, pos)
+  in
+  if data = "" then ([], 0) else go (String.length magic) []
+
+(* The log file at [path], [""] when it is missing or empty.  Raises
+   [Invalid_argument] (naming [what]) on a file that is not a fieldrep
+   log. *)
+let read_log ~what path =
+  let data =
+    if Sys.file_exists path then
+      In_channel.with_open_bin path In_channel.input_all
+    else ""
+  in
+  if data <> "" && not (String.starts_with ~prefix:magic data) then
+    invalid_arg (what ^ ": not a fieldrep log");
+  data
 
 let fsync_of_env () =
   match Sys.getenv_opt "FIELDREP_WAL_FSYNC" with
@@ -463,25 +483,9 @@ let fsync_of_env () =
 
 let open_ ?stats ?(flush_limit = default_flush_limit) ?fsync path =
   let fsync = match fsync with Some b -> b | None -> fsync_of_env () in
-  let raw, good_end, data =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let data =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      if String.length data < String.length magic then
-        if String.length data = 0 then ([], 0, data)
-        else invalid_arg "Wal.open_: not a fieldrep log"
-      else if String.sub data 0 (String.length magic) <> magic then
-        invalid_arg "Wal.open_: not a fieldrep log"
-      else
-        let raw, good_end = scan data in
-        (raw, good_end, data)
-    end
-    else ([], 0, "")
-  in
+  let data = read_log ~what:"Wal.open_" path in
+  let frames, good_end = walk data in
+  let raw = List.map (fun (lsn, r, _, _) -> (lsn, r)) frames in
   let oc =
     if good_end > 0 && good_end < String.length data then begin
       (* Discard everything past the last well-formed frame immediately.
@@ -550,111 +554,40 @@ let encode_frame lsn record =
   frame
 
 let decode_frame frame =
-  if Bytes.length frame < 8 then raise (Wire.Corrupt "Wal: short frame");
-  let flen, p = Wire.get_u32 frame 0 in
-  let fcrc, p = Wire.get_u32 frame p in
-  if flen < 9 || p + flen <> Bytes.length frame then
-    raise (Wire.Corrupt "Wal: bad frame length");
-  if crc frame p flen <> fcrc then
-    raise (Wire.Corrupt "Wal: frame checksum mismatch");
-  let lsn, o = Wire.get_i64 frame p in
-  let kind, o = Wire.get_u8 frame o in
-  let r, o = get_body kind frame o in
-  if o <> p + flen then raise (Wire.Corrupt "Wal: frame length mismatch");
-  (lsn, r)
+  match frame_at frame 0 with
+  | lsn, r, stop when stop = Bytes.length frame -> (lsn, r)
+  | _ -> raise (Wire.Corrupt "Wal: trailing bytes after frame")
 
 (* Re-read raw frames from a log file, for serving replica re-send
    requests.  The shipping tap only ever sees frames that have already
    been flushed (see [sync]), so any frame a replica can legitimately ask
    for again is present in the file. *)
 let read_frames path ~after =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let len = String.length data in
-    if len = 0 then []
-    else if
-      len < String.length magic
-      || String.sub data 0 (String.length magic) <> magic
-    then invalid_arg "Wal.read_frames: not a fieldrep log"
-    else begin
-      let buf = Bytes.unsafe_of_string data in
-      let acc = ref [] in
-      let pos = ref (String.length magic) in
-      let stop = ref false in
-      while not !stop do
-        if !pos + 8 > len then stop := true
-        else begin
-          let flen, p = Wire.get_u32 buf !pos in
-          let fcrc, p = Wire.get_u32 buf p in
-          if flen < 9 || p + flen > len then stop := true
-          else if crc buf p flen <> fcrc then stop := true
-          else begin
-            let lsn, _ = Wire.get_i64 buf p in
-            if Int64.compare lsn after > 0 then
-              acc := (lsn, Bytes.sub buf !pos (8 + flen)) :: !acc;
-            pos := p + flen
-          end
-        end
-      done;
-      List.rev !acc
-    end
-  end
+  let data = read_log ~what:"Wal.read_frames" path in
+  List.filter_map
+    (fun (lsn, _, start, stop) ->
+      if Int64.compare lsn after > 0 then
+        Some (lsn, Bytes.sub (Bytes.unsafe_of_string data) start (stop - start))
+      else None)
+    (fst (walk data))
 
 (* Physically discard every frame above [after] — the rejoin path for a
    deposed master whose unshipped tail diverged from the new epoch's
    history.  Works on a closed log file: the caller re-opens (or
-   re-recovers) afterwards.  Keeps the magic header plus every
-   well-formed frame with lsn <= after; scanning stops at the first
-   ill-formed frame exactly as [open_] would, so nothing past a torn
-   frame survives either. *)
+   re-recovers) afterwards.  Keeps the magic header plus the frames with
+   lsn <= after up to the first one above it; [walk] ends the log where
+   [open_] would, so nothing past an ill-formed frame survives either. *)
 let truncate_file path ~after =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+  let data = read_log ~what:"Wal.truncate_file" path in
+  if data <> "" then begin
+    let rec keep upto = function
+      | (lsn, _, _, stop) :: rest when Int64.compare lsn after <= 0 ->
+          keep stop rest
+      | _ -> upto
     in
-    let len = String.length data in
-    if len < String.length magic
-       || String.sub data 0 (String.length magic) <> magic
-    then invalid_arg "Wal.truncate_file: not a fieldrep log"
-    else begin
-      let buf = Bytes.unsafe_of_string data in
-      let keep = Buffer.create len in
-      Buffer.add_string keep magic;
-      let pos = ref (String.length magic) in
-      let stop = ref false in
-      while not !stop do
-        if !pos + 8 > len then stop := true
-        else begin
-          let flen, p = Wire.get_u32 buf !pos in
-          let fcrc, p = Wire.get_u32 buf p in
-          if flen < 9 || p + flen > len then stop := true
-          else if crc buf p flen <> fcrc then stop := true
-          else begin
-            let lsn, _ = Wire.get_i64 buf p in
-            if Int64.compare lsn after > 0 then stop := true
-            else begin
-              Buffer.add_subbytes keep buf !pos (8 + flen);
-              pos := p + flen
-            end
-          end
-        end
-      done;
-      let oc =
-        open_out_gen [ Open_wronly; Open_trunc; Open_binary ] 0o644 path
-      in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Buffer.output_buffer oc keep)
-    end
+    let upto = keep (String.length magic) (fst (walk data)) in
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_substring oc data 0 upto)
   end
 
 let write_record t lsn record =

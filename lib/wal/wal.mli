@@ -22,6 +22,9 @@
     [crc] is an FNV-1a checksum of the payload.  {!open_} scans existing
     frames and stops at the first short or corrupt frame — a torn tail
     written during a crash is ignored, and subsequent appends overwrite it.
+    A checksum-valid frame whose body does not decode ends the log the
+    same way; {!read_frames} and {!truncate_file} walk frames with the
+    same parser, so all three agree on where a log ends.
 
     {1 Group commit}
 
@@ -200,13 +203,29 @@ val encode_frame : int64 -> record -> Bytes.t
 
 val decode_frame : Bytes.t -> int64 * record
 (** Inverse of {!encode_frame}.  Raises [Fieldrep_util.Wire.Corrupt] on a
-    short, truncated, trailing-garbage or checksum-failing frame. *)
+    short, truncated, trailing-garbage or checksum-failing frame, and on a
+    checksum-valid one whose body does not decode. *)
+
+val encode_body : record -> Bytes.t
+(** A record's body alone — the bytes {!encode_frame} puts after the kind
+    byte, with no length, checksum, LSN or kind.  Checkpoint images store
+    their catalog entries in this form, so a type, replication or index
+    definition has one encoding on disk. *)
+
+val decode_body : int -> Bytes.t -> int -> record * int
+(** [decode_body kind buf off] is the inverse of {!encode_body} in
+    [Fieldrep_util.Wire] style: the record and the offset just past its
+    body.  [kind] is the frame's kind byte, the constructor's position in
+    {!record} ([Define_type] = 0, [Replicate] = 5, [Build_index] = 6).
+    Raises [Fieldrep_util.Wire.Corrupt] on a malformed body, including an
+    unknown kind, field kind or strategy. *)
 
 val read_frames : string -> after:int64 -> (int64 * Bytes.t) list
 (** Re-read the raw frames of the log file at a path, keeping those with
     LSN strictly greater than [after], in LSN order.  Stops at the first
-    torn or corrupt frame (as {!open_} does); returns [[]] for a missing
-    or empty file; raises [Invalid_argument] on a file that is not a
+    frame {!open_} would reject — torn, checksum-failing, or with a body
+    that does not decode — so it never returns a frame a replica cannot
+    apply; returns [[]] for a missing or empty file; raises [Invalid_argument] on a file that is not a
     fieldrep log.  Serves replica re-send and rejoin requests. *)
 
 val truncate_file : string -> after:int64 -> unit
@@ -214,7 +233,7 @@ val truncate_file : string -> after:int64 -> unit
     from the (closed) log file at a path — the rejoin path for a deposed
     master whose unshipped tail diverged from the new epoch's history.
     Ill-formed tails are discarded too (the scan stops where {!open_}
-    would).  A no-op on a missing file; raises [Invalid_argument] on a
+    would).  A no-op on a missing or empty file; raises [Invalid_argument] on a
     file that is not a fieldrep log. *)
 
 val records : t -> (int64 * record) list

@@ -45,6 +45,11 @@ let test_roundtrip_preserves_everything () =
   let path = tmp "roundtrip" in
   Db.save db path;
   let db2 = Db.load path in
+  (* The format is pinned: what was loaded saves to the same bytes.
+     Checked first, because a query's temp files advance the image's
+     file-id watermark. *)
+  checkb "save -> load -> save is byte-identical" true
+    (Db.image db2 = In_channel.with_open_bin path In_channel.input_all);
   (* Catalog. *)
   checki "types" 3 (List.length (Schema.types (Db.schema db2)));
   checki "sets" 3 (List.length (Schema.sets (Db.schema db2)));
@@ -208,13 +213,24 @@ let test_pending_lazy_with_mixed_indexes () =
 
 let test_load_rejects_garbage () =
   let path = tmp "garbage" in
-  let oc = open_out_bin path in
-  output_string oc "this is not a database image at all";
-  close_out oc;
-  (try
-     ignore (Db.load path);
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ());
+  let rejects what data =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+    match Db.load path with
+    | _ -> Alcotest.failf "%s: loaded" what
+    | exception Invalid_argument msg when String.starts_with ~prefix:"Db.load: " msg -> ()
+  in
+  rejects "foreign file" "this is not a database image at all";
+  let image = Db.image (rich_db ()) in
+  for i = 0 to (String.length image - 1) / 64 do
+    rejects (Printf.sprintf "%d-byte prefix" (i * 64)) (String.sub image 0 (i * 64))
+  done;
+  rejects "trailing junk" (image ^ "junk!!!!");
+  (* The strategy byte follows the replication's path in its entry. *)
+  let rpath = "Emp1.dept.name" in
+  let rec find i = if String.sub image i (String.length rpath) = rpath then i else find (i + 1) in
+  let bad = Bytes.of_string image in
+  Bytes.set_uint8 bad (find 0 + String.length rpath) 7;
+  rejects "strategy 7" (Bytes.to_string bad);
   Sys.remove path
 
 let test_rs_database_roundtrip () =

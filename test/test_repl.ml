@@ -245,6 +245,34 @@ let test_read_frames () =
   checki "missing file is empty" 0
     (List.length (Wal.read_frames (path ^ ".nope") ~after:0L));
   Wal.close w;
+  (* A checksum-valid frame whose body does not decode (kind 99) ends the
+     log for [open_], [read_frames] and [truncate_file] alike: nothing
+     from it on — not even the well-formed frame behind it — is kept,
+     shipped or recovered. *)
+  let frame lsn = Wal.encode_frame lsn (List.hd records) in
+  let bad = frame 4L in
+  Bytes.set_uint8 bad 16 99;
+  Bytes.set_int32_le bad 4
+    (Int32.of_int
+       (Fieldrep_storage.Checksum.fnv1a32 bad 8 (Bytes.length bad - 8)));
+  let good = List.map frame [ 1L; 2L; 3L ] in
+  let good_len = List.fold_left (fun n f -> n + Bytes.length f) 8 good in
+  (* Rewritten before each check: [open_] and [truncate_file] cut the file. *)
+  let write_log () =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc "FREPWAL1";
+        List.iter (Out_channel.output_bytes oc) (good @ [ bad; frame 5L ]))
+  in
+  write_log ();
+  checki "read_frames stops at the undecodable frame" 3
+    (List.length (Wal.read_frames path ~after:0L));
+  let w = Wal.open_ path in
+  checki "open_ stops there too" 3 (List.length (Wal.records w));
+  Wal.close w;
+  write_log ();
+  Wal.truncate_file path ~after:100L;
+  checki "truncate_file keeps what open_ keeps" good_len
+    (Int64.to_int (In_channel.with_open_bin path In_channel.length));
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
