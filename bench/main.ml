@@ -14,6 +14,7 @@ module Oid = Fieldrep_storage.Oid
 module Pager = Fieldrep_storage.Pager
 module Stats = Fieldrep_storage.Stats
 module Heap_file = Fieldrep_storage.Heap_file
+module Btree = Fieldrep_btree.Btree
 module Key = Fieldrep_btree.Key
 module Ty = Fieldrep_model.Ty
 module Value = Fieldrep_model.Value
@@ -710,6 +711,22 @@ let micro () =
              incr counter;
              ignore
                (Db.index_lookup b.Gen.db ~index:Gen.r_index (Key.Int (!counter mod 2000)))));
+      (* 2,000 live keys: each step drops the smallest and appends the
+         next, so leaves empty out and merge on the left and split on the
+         right, as under the perfbench churn workload. *)
+      Test.make ~name:"btree delete-oldest + insert (sliding window)"
+        (let tree = Btree.create (Pager.create ~page_size:4096 ~frames:256 ()) in
+         let oid i = { Oid.file = 1; page = i / 100; slot = i mod 100 } in
+         let window = 2000 in
+         for i = 0 to window - 1 do
+           Btree.insert tree (Key.Int i) (oid i)
+         done;
+         let next = ref window in
+         Staged.stage (fun () ->
+             let old = !next - window in
+             ignore (Btree.delete tree (Key.Int old) (oid old));
+             Btree.insert tree (Key.Int !next) (oid !next);
+             incr next));
       Test.make ~name:"insert employee"
         (let fresh = Gen.employee_db ~norgs:4 ~ndepts:30 ~nemps:100 ~seed:71 () in
          Db.replicate fresh ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");

@@ -133,15 +133,19 @@ let overfull t node =
   node_bytes node > Pager.page_size t.pager
   || entry_count_of node > max_entries t node
 
-(* Minimum fill under an entry cap: ceil(cap/2) leaf entries, and
-   ceil((cap+1)/2) children, i.e. cap/2 separators, per internal node. *)
+(* Minimum fill of a node with [n] entries in [bytes] serialized bytes:
+   a quarter page without an entry cap; under a cap, ceil(cap/2) leaf
+   entries, and ceil((cap+1)/2) children, i.e. cap/2 separators, per
+   internal node. *)
+let underfull_at t ~leaf ~n ~bytes =
+  let cap = if leaf then t.max_leaf else t.max_internal in
+  if cap = max_int then 4 * bytes < Pager.page_size t.pager
+  else if leaf then n < (cap + 1) / 2
+  else n < cap / 2
+
 let underfull t node =
-  let cap = max_entries t node in
-  if cap = max_int then 4 * node_bytes node < Pager.page_size t.pager
-  else
-    match node with
-    | Leaf { entries; _ } -> Array.length entries < (cap + 1) / 2
-    | Internal { seps; _ } -> Array.length seps < cap / 2
+  let leaf = match node with Leaf _ -> true | Internal _ -> false in
+  underfull_at t ~leaf ~n:(entry_count_of node) ~bytes:(node_bytes node)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -230,7 +234,22 @@ let check_key t key =
         invalid_arg "Btree: mixed key variants in one tree"
 
 (* ------------------------------------------------------------------ *)
-(* Search                                                              *)
+(* Searching and editing page bytes                                    *)
+
+(* Lookups, range scans and the insert/delete descent never build a
+   [node]: they search the pinned page, comparing the probe against the
+   key encoding ({!Key.compare_at}) and the packed OID, and decode only
+   the entries they return.  A leaf insert or delete that needs no split
+   or rebalance edits the leaf in place with one blit.  Splits, merges,
+   redistribution and separator refreshes decode the node they change
+   and keep the codec above.
+
+   One tree holds one key variant ({!check_key}), so a node whose first
+   key is an [Int] has a fixed entry stride and is binary-searched;
+   String-key nodes are scanned linearly.  A probe is a key and a packed
+   OID ({!Oid.to_int64}); lookups probe with [(lo, min_oid)].  Every
+   search picks the entry a comparison of decoded entries would pick, so
+   lookups visit the pages a decoding search would. *)
 
 (* First position in [0, n) where the monotone [before] fails. *)
 let partition_point n before =
@@ -242,36 +261,24 @@ let partition_point n before =
   in
   go 0 n
 
-(* Index of the child to descend into for [probe]: the last child whose
-   separated range can contain it, i.e. the first separator strictly
-   greater than probe. *)
-let child_index seps probe =
-  partition_point (Array.length seps) (fun i -> compare_entry seps.(i) probe <= 0)
-
-(* Position of the first entry >= probe within a sorted entry array. *)
-let lower_bound entries probe =
-  partition_point (Array.length entries) (fun i -> compare_entry entries.(i) probe < 0)
-
-(* ------------------------------------------------------------------ *)
-(* Read-only search on page bytes                                      *)
-
-(* Lookups and range scans never build a [node]: they descend and scan
-   on the pinned page, comparing the probe against the key encoding
-   ({!Key.compare_at}), and decode only the entries they return.  The
-   write paths above and below keep the node codec.
-
-   One tree holds one key variant ({!check_key}), so a node whose first
-   key is an [Int] has a fixed entry stride and is binary-searched;
-   String-key nodes are scanned linearly.  The probe is always
-   [(lo, min_oid)], exactly as in {!child_index} / {!lower_bound} on the
-   decoded node, so the page-visit sequence (and every pool counter) is
-   the same as decoding would give. *)
-
 let header_size = 1 + 2 + 4
+let child_ptr_size = 4
 let int_leaf_stride = Key.encoded_size Key.min_int_key + Oid.encoded_size
-let int_internal_stride = int_leaf_stride + 4
+let int_internal_stride = int_leaf_stride + child_ptr_size
+let min_packed = Oid.to_int64 min_oid
 
 let corrupt msg = raise (Wire.Corrupt msg)
+
+(* Tag of the node in [buf], after checking that its header is in bounds
+   and the tag is known. *)
+let node_tag buf =
+  Wire.check_bounds buf 0 header_size;
+  let tag = Bytes.get_uint8 buf 0 in
+  if tag <> tag_leaf && tag <> tag_internal then
+    corrupt (Printf.sprintf "Btree: bad node tag %d" tag);
+  tag
+
+let count_at buf = Bytes.get_uint16_le buf 1
 
 (* Entry stride of a node with [n] entries, or 0 when the keys are
    strings.  A fixed-stride node is bounds-checked as a whole here. *)
@@ -291,35 +298,80 @@ let get_u32 buf off =
   Wire.check_bounds buf off 4;
   Int32.to_int (Bytes.get_int32_le buf off) land 0xffff_ffff
 
-(* [compare_entry sep (lo, min_oid) <= 0] for the separator at [off];
-   [min_oid] packs to 0. *)
-let sep_precedes buf off lo =
-  match Key.compare_at buf off lo with
+(* [compare_entry] of the entry at [off] against the probe [(key, oid)].
+   Packed OIDs order as unsigned integers, which is {!Oid.compare}'s
+   order. *)
+let compare_entry_at buf off key oid =
+  match Key.compare_at buf off key with
   | 0 ->
       let o = off + Key.size_at buf off in
       Wire.check_bounds buf o Oid.encoded_size;
-      Int64.equal (Bytes.get_int64_le buf o) 0L
-  | c -> c < 0
+      Int64.compare
+        (Int64.sub (Bytes.get_int64_le buf o) Int64.min_int)
+        (Int64.sub oid Int64.min_int)
+  | c -> c
 
-(* Child page of the internal node in [buf] to descend into for [lo]. *)
-let child_for buf n lo =
+(* Child [idx] of an internal node: the pointer just before separator
+   [idx], which starts at [off]. *)
+let child_at buf idx off = get_u32 buf (if idx = 0 then 3 else off - child_ptr_size)
+
+(* Index and page of the child of the internal node in [buf] whose range
+   holds the probe: the child left of the first separator greater than
+   it. *)
+let child_for buf n key oid =
   match stride_of buf n ~int_stride:int_internal_stride with
   | 0 ->
       let rec scan i off =
-        if i < n && sep_precedes buf off lo then
-          scan (i + 1) (off + Key.size_at buf off + Oid.encoded_size + 4)
-        else if i = 0 then get_u32 buf 3
-        else get_u32 buf (off - 4)
+        if i < n && compare_entry_at buf off key oid <= 0 then
+          scan (i + 1) (off + Key.size_at buf off + Oid.encoded_size + child_ptr_size)
+        else (i, child_at buf i off)
       in
       scan 0 header_size
   | stride ->
-      let off i = header_size + (i * stride) in
       let idx =
         partition_point n (fun i ->
-            check_int buf (off i);
-            sep_precedes buf (off i) lo)
+            let off = header_size + (i * stride) in
+            check_int buf off;
+            compare_entry_at buf off key oid <= 0)
       in
-      if idx = 0 then get_u32 buf 3 else get_u32 buf (off idx - 4)
+      (idx, child_at buf idx (header_size + (idx * stride)))
+
+(* Index and offset of the first entry >= the probe in the leaf in [buf];
+   [n] and the end of the entries when there is none. *)
+let lower_bound_at buf n key oid =
+  match stride_of buf n ~int_stride:int_leaf_stride with
+  | 0 ->
+      let rec skip i off =
+        if i < n && compare_entry_at buf off key oid < 0 then
+          skip (i + 1) (off + Key.size_at buf off + Oid.encoded_size)
+        else (i, off)
+      in
+      skip 0 header_size
+  | stride ->
+      let i =
+        partition_point n (fun i ->
+            let off = header_size + (i * stride) in
+            check_int buf off;
+            compare_entry_at buf off key oid < 0)
+      in
+      (i, header_size + (i * stride))
+
+(* Offset just past the [n] entries of the node in [buf], going on from
+   entry [i] at [off]; [ptr] is the child-pointer size each entry
+   carries (0 in a leaf). *)
+let entries_end buf n ~ptr i off =
+  match stride_of buf n ~int_stride:(int_leaf_stride + ptr) with
+  | 0 ->
+      let rec go i off =
+        if i >= n then off else go (i + 1) (off + Key.size_at buf off + Oid.encoded_size + ptr)
+      in
+      let stop = go i off in
+      Wire.check_bounds buf header_size (stop - header_size);
+      stop
+  | stride -> header_size + (n * stride)
+
+(* ------------------------------------------------------------------ *)
+(* Lookups and range scans                                             *)
 
 type visit =
   | Child of int
@@ -341,30 +393,14 @@ let scan_leaf buf n ~lo ~hi ~first =
   in
   if not first then collect 0 header_size []
   else
-    match stride_of buf n ~int_stride:int_leaf_stride with
-    | 0 ->
-        let rec skip i off =
-          if i < n && Key.compare_at buf off lo < 0 then
-            skip (i + 1) (off + Key.size_at buf off + Oid.encoded_size)
-          else collect i off []
-        in
-        skip 0 header_size
-    | stride ->
-        let i =
-          partition_point n (fun i ->
-              let off = header_size + (i * stride) in
-              check_int buf off;
-              Key.compare_at buf off lo < 0)
-        in
-        collect i (header_size + (i * stride)) []
+    let i, off = lower_bound_at buf n lo min_packed in
+    collect i off []
 
 let visit_page buf ~lo ~hi ~first =
-  Wire.check_bounds buf 0 header_size;
-  let tag = Bytes.get_uint8 buf 0 in
-  let n = Bytes.get_uint16_le buf 1 in
+  let tag = node_tag buf in
+  let n = count_at buf in
   if tag = tag_leaf then scan_leaf buf n ~lo ~hi ~first
-  else if tag <> tag_internal then corrupt (Printf.sprintf "Btree: bad node tag %d" tag)
-  else if first then Child (child_for buf n lo)
+  else if first then Child (snd (child_for buf n lo min_packed))
   else corrupt "Btree: leaf chain hits internal node"
 
 (* Walk entries in [lo, hi] starting from the leaf containing lo.  The
@@ -418,6 +454,42 @@ let iter_all t f =
   walk (leftmost t.root)
 
 (* ------------------------------------------------------------------ *)
+(* Write descent                                                       *)
+
+(* Inserts and deletes touch one root-to-leaf path.  Each internal node
+   is read in place on the way down; on the way back up it is decoded
+   and rewritten ({!update_internal}) only when it must change. *)
+
+type 'a step =
+  | Down of { idx : int; child : int; n : int; underfull : bool }
+      (* the child to descend into, the node's separator count, and
+         whether the node is underfull as it stands *)
+  | At_leaf of 'a
+
+(* One step toward the probe [(key, oid)] on the pinned [page]:
+   [at_leaf buf n] when it is a leaf. *)
+let step t page key oid ~at_leaf =
+  Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
+      let tag = node_tag buf in
+      let n = count_at buf in
+      if tag = tag_leaf then At_leaf (at_leaf buf n)
+      else
+        let idx, child = child_for buf n key oid in
+        let bytes = entries_end buf n ~ptr:child_ptr_size 0 header_size in
+        Down { idx; child; n; underfull = underfull_at t ~leaf:false ~n ~bytes })
+
+(* Decode the internal node at [page], let [f] edit it, and write the
+   node [f] returns back in the same pin. *)
+let update_internal t page f =
+  Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
+      match deserialize buf with
+      | Internal { children; seps } ->
+          let node, result = f children seps in
+          serialize node buf;
+          result
+      | Leaf _ -> corrupt "Btree: leaf where the descent read an internal node")
+
+(* ------------------------------------------------------------------ *)
 (* Insert                                                              *)
 
 let array_insert arr i x =
@@ -454,59 +526,67 @@ let internal_split t seps =
   if t.max_internal < max_int then max 1 (Array.length seps / 2)
   else split_by_bytes seps 4
 
+(* Insert [entry], whose OID packs to [oid], into the leaf [page] pinned
+   in [buf]: in place when it fits (the same test as [overfull]), else
+   return the leaf's entries with it added, for the caller to split. *)
+let leaf_insert t page buf n ((key, _) as entry) oid =
+  let i, off = lower_bound_at buf n key oid in
+  if i < n && compare_entry_at buf off key oid = 0 then
+    invalid_arg "Btree.insert: duplicate (key, oid) entry";
+  let stop = entries_end buf n ~ptr:0 i off in
+  let size = entry_size entry in
+  if n < t.max_leaf && stop + size <= Pager.page_size t.pager then begin
+    Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
+        Bytes.blit buf off buf (off + size) (stop - off);
+        ignore (write_entry buf off entry);
+        Bytes.set_uint16_le buf 1 (n + 1));
+    None
+  end
+  else
+    match deserialize buf with
+    | Leaf { entries; next } -> Some (array_insert entries i entry, next)
+    | Internal _ -> corrupt "Btree: internal node where the descent read a leaf"
+
 (* Returns [Some (sep, right_page)] when the node split. *)
-let rec insert_rec t page entry =
-  match read_node t page with
-  | Leaf { entries; next } ->
-      let i = lower_bound entries entry in
-      if i < Array.length entries && compare_entry entries.(i) entry = 0 then
-        invalid_arg "Btree.insert: duplicate (key, oid) entry";
-      let entries = array_insert entries i entry in
-      let node = Leaf { entries; next } in
-      if not (overfull t node) then begin
-        write_node t page node;
-        None
-      end
-      else begin
-        let split = leaf_split t entries in
-        let left = Array.sub entries 0 split in
-        let right = Array.sub entries split (Array.length entries - split) in
-        let right_page = alloc_page t in
-        write_node t right_page (Leaf { entries = right; next });
-        write_node t page (Leaf { entries = left; next = right_page });
-        Some (right.(0), right_page)
-      end
-  | Internal { children; seps } -> (
-      let idx = child_index seps entry in
-      match insert_rec t children.(idx) entry with
+let rec insert_rec t page entry oid =
+  match step t page (fst entry) oid ~at_leaf:(fun buf n -> leaf_insert t page buf n entry oid) with
+  | At_leaf None -> None
+  | At_leaf (Some (entries, next)) ->
+      let split = leaf_split t entries in
+      let left = Array.sub entries 0 split in
+      let right = Array.sub entries split (Array.length entries - split) in
+      let right_page = alloc_page t in
+      write_node t right_page (Leaf { entries = right; next });
+      write_node t page (Leaf { entries = left; next = right_page });
+      Some (right.(0), right_page)
+  | Down { idx; child; _ } -> (
+      match insert_rec t child entry oid with
       | None -> None
       | Some (sep, new_child) ->
-          let seps = array_insert seps idx sep in
-          let children = array_insert children (idx + 1) new_child in
-          let node = Internal { children; seps } in
-          if not (overfull t node) then begin
-            write_node t page node;
-            None
-          end
-          else begin
-            (* Promote the separator at the split point ("move up"). *)
-            let split = internal_split t seps in
-            let promoted = seps.(split) in
-            let left_seps = Array.sub seps 0 split in
-            let right_seps = Array.sub seps (split + 1) (Array.length seps - split - 1) in
-            let left_children = Array.sub children 0 (split + 1) in
-            let right_children =
-              Array.sub children (split + 1) (Array.length children - split - 1)
-            in
-            let right_page = alloc_page t in
-            write_node t right_page (Internal { children = right_children; seps = right_seps });
-            write_node t page (Internal { children = left_children; seps = left_seps });
-            Some (promoted, right_page)
-          end)
+          update_internal t page (fun children seps ->
+              let seps = array_insert seps idx sep in
+              let children = array_insert children (idx + 1) new_child in
+              let node = Internal { children; seps } in
+              if not (overfull t node) then (node, None)
+              else begin
+                (* Promote the separator at the split point ("move up"). *)
+                let split = internal_split t seps in
+                let promoted = seps.(split) in
+                let left_seps = Array.sub seps 0 split in
+                let right_seps = Array.sub seps (split + 1) (Array.length seps - split - 1) in
+                let left_children = Array.sub children 0 (split + 1) in
+                let right_children =
+                  Array.sub children (split + 1) (Array.length children - split - 1)
+                in
+                let right_page = alloc_page t in
+                write_node t right_page (Internal { children = right_children; seps = right_seps });
+                ( Internal { children = left_children; seps = left_seps },
+                  Some (promoted, right_page) )
+              end))
 
 let insert t key oid =
   check_key t key;
-  (match insert_rec t t.root (key, oid) with
+  (match insert_rec t t.root (key, oid) (Oid.to_int64 oid) with
   | None -> ()
   | Some (sep, right_page) ->
       (* Root split: move the old root to a fresh page and make the root an
@@ -514,171 +594,175 @@ let insert t key oid =
       let old_root = read_node t t.root in
       let moved = alloc_page t in
       write_node t moved old_root;
-      (* The right sibling produced by the split still references the root
-         page via nothing (internals hold child pages; the split wrote left
-         into t.root).  Re-point: left child is [moved]. *)
-      (match old_root with
-      | Leaf _ | Internal _ -> ());
       write_node t t.root (Internal { children = [| moved; right_page |]; seps = [| sep |] }));
   t.count <- t.count + 1
 
 (* ------------------------------------------------------------------ *)
 (* Delete                                                              *)
 
-let first_entry t page =
-  let rec go page =
-    match read_node t page with
-    | Leaf { entries; _ } ->
-        if Array.length entries = 0 then None else Some entries.(0)
-    | Internal { children; _ } -> go children.(0)
-  in
-  go page
+(* Separators stay equal to their subtree's minimum.  A delete reports
+   how it changed the minimum of the subtree it ran in, and the parent
+   refreshes the one separator into that subtree before it rebalances,
+   so merges and rotations only ever move exact separators. *)
+type min_change =
+  | Same_min
+  | New_min of entry
+  | Emptied  (* the subtree holds no entries until its parent rebalances it *)
 
-(* Rebalance children.(idx) of the internal node at [page] if underfull.
-   Returns the (possibly rewritten) parent node. *)
-let rebalance_child t (node : node) idx =
-  match node with
-  | Leaf _ -> node
-  | Internal { children; seps } -> (
-      let child_page = children.(idx) in
-      let child = read_node t child_page in
-      if not (underfull t child) then node
-      else begin
-        (* Prefer the right sibling; fall back to the left one. *)
-        let sib_idx = if idx + 1 <= Array.length seps then idx + 1 else idx - 1 in
-        if sib_idx < 0 || sib_idx > Array.length seps then node
-        else begin
-          let left_idx = min idx sib_idx in
-          let right_idx = max idx sib_idx in
-          let left_page = children.(left_idx) in
-          let right_page = children.(right_idx) in
-          let left = read_node t left_page in
-          let right = read_node t right_page in
-          let merged =
-            match (left, right) with
-            | Leaf a, Leaf b ->
-                Some (Leaf { entries = Array.append a.entries b.entries; next = b.next })
-            | Internal a, Internal b ->
-                Some
-                  (Internal
-                     {
-                       children = Array.append a.children b.children;
-                       seps =
-                         Array.concat [ a.seps; [| seps.(left_idx) |]; b.seps ];
-                     })
-            | Leaf _, Internal _ | Internal _, Leaf _ -> None
-          in
-          match merged with
-          | Some m when not (overfull t m) ->
-              write_node t left_page m;
-              free_page t right_page;
-              Internal
-                {
-                  children = array_remove children right_idx;
-                  seps = array_remove seps left_idx;
-                }
-          | Some _ | None -> (
-              (* Merge impossible: redistribute the combined content evenly
-                 by serialized size, which lifts the underfull side above
-                 threshold in one step. *)
-              match (left, right) with
-              | Leaf a, Leaf b ->
-                  let combined = Array.append a.entries b.entries in
-                  if Array.length combined < 2 then node
-                  else begin
-                    let split = leaf_split t combined in
-                    let l = Array.sub combined 0 split in
-                    let r = Array.sub combined split (Array.length combined - split) in
-                    write_node t left_page (Leaf { entries = l; next = a.next });
-                    write_node t right_page (Leaf { entries = r; next = b.next });
-                    let seps = Array.copy seps in
-                    seps.(left_idx) <- r.(0);
-                    Internal { children; seps }
-                  end
-              | Internal a, Internal b ->
-                  (* Rotate through the parent separator: combined separator
-                     list is a.seps ++ [parent sep] ++ b.seps. *)
-                  let all_children = Array.append a.children b.children in
-                  let all_seps = Array.concat [ a.seps; [| seps.(left_idx) |]; b.seps ] in
-                  if Array.length all_seps < 2 then node
-                  else begin
-                    let split = internal_split t all_seps in
-                    let promoted = all_seps.(split) in
-                    write_node t left_page
-                      (Internal
-                         {
-                           children = Array.sub all_children 0 (split + 1);
-                           seps = Array.sub all_seps 0 split;
-                         });
-                    write_node t right_page
-                      (Internal
-                         {
-                           children =
-                             Array.sub all_children (split + 1)
-                               (Array.length all_children - split - 1);
-                           seps =
-                             Array.sub all_seps (split + 1)
-                               (Array.length all_seps - split - 1);
-                         });
-                    let seps = Array.copy seps in
-                    seps.(left_idx) <- promoted;
-                    Internal { children; seps }
-                  end
-              | Leaf _, Internal _ | Internal _, Leaf _ ->
-                  raise (Wire.Corrupt "Btree: siblings at different depths"))
-        end
-      end)
+type removal =
+  | Missing
+  | Removed of { min : min_change; underfull : bool; count : int }
+      (* the node's new fill, and its entry (leaf) or separator count *)
 
-let rec delete_rec t page entry =
-  match read_node t page with
-  | Leaf { entries; next } ->
-      let i = lower_bound entries entry in
-      if i < Array.length entries && compare_entry entries.(i) entry = 0 then begin
-        write_node t page (Leaf { entries = array_remove entries i; next });
-        true
-      end
-      else false
-  | Internal { children; seps } ->
-      let idx = child_index seps entry in
-      let found = delete_rec t children.(idx) entry in
-      if found then begin
-        let node = rebalance_child t (Internal { children; seps }) idx in
-        (* Deleting the first entry of a subtree can stale the separator
-           guiding into it; refresh from the actual subtree minimum. *)
-        let node =
-          match node with
-          | Internal { children; seps } ->
-              let seps = Array.copy seps in
-              Array.iteri
-                (fun i _ ->
-                  match first_entry t children.(i + 1) with
-                  | Some e -> seps.(i) <- e
-                  | None -> ())
-                seps;
-              Internal { children; seps }
-          | Leaf _ as l -> l
-        in
-        write_node t page node
-      end;
-      found
+(* Merge or redistribute the underfull children.(idx) with a sibling.
+   Returns the rewritten parent, or the same node when there is no
+   sibling to take from. *)
+let rebalance_child t ~children ~seps idx =
+  let node = Internal { children; seps } in
+  (* Prefer the right sibling; fall back to the left one. *)
+  let sib_idx = if idx + 1 <= Array.length seps then idx + 1 else idx - 1 in
+  if sib_idx < 0 then node
+  else begin
+    let left_idx = min idx sib_idx in
+    let right_idx = max idx sib_idx in
+    let left_page = children.(left_idx) in
+    let right_page = children.(right_idx) in
+    let left = read_node t left_page in
+    let right = read_node t right_page in
+    let merged =
+      match (left, right) with
+      | Leaf a, Leaf b -> Some (Leaf { entries = Array.append a.entries b.entries; next = b.next })
+      | Internal a, Internal b ->
+          Some
+            (Internal
+               {
+                 children = Array.append a.children b.children;
+                 seps = Array.concat [ a.seps; [| seps.(left_idx) |]; b.seps ];
+               })
+      | Leaf _, Internal _ | Internal _, Leaf _ -> None
+    in
+    match merged with
+    | Some m when not (overfull t m) ->
+        write_node t left_page m;
+        free_page t right_page;
+        Internal { children = array_remove children right_idx; seps = array_remove seps left_idx }
+    | Some _ | None -> (
+        (* Merge impossible: redistribute the combined content evenly by
+           serialized size, which lifts the underfull side above threshold
+           in one step. *)
+        match (left, right) with
+        | Leaf a, Leaf b ->
+            let combined = Array.append a.entries b.entries in
+            if Array.length combined < 2 then node
+            else begin
+              let split = leaf_split t combined in
+              let l = Array.sub combined 0 split in
+              let r = Array.sub combined split (Array.length combined - split) in
+              write_node t left_page (Leaf { entries = l; next = a.next });
+              write_node t right_page (Leaf { entries = r; next = b.next });
+              seps.(left_idx) <- r.(0);
+              node
+            end
+        | Internal a, Internal b ->
+            (* Rotate through the parent separator: combined separator list
+               is a.seps ++ [parent sep] ++ b.seps. *)
+            let all_children = Array.append a.children b.children in
+            let all_seps = Array.concat [ a.seps; [| seps.(left_idx) |]; b.seps ] in
+            if Array.length all_seps < 2 then node
+            else begin
+              let split = internal_split t all_seps in
+              write_node t left_page
+                (Internal
+                   {
+                     children = Array.sub all_children 0 (split + 1);
+                     seps = Array.sub all_seps 0 split;
+                   });
+              write_node t right_page
+                (Internal
+                   {
+                     children =
+                       Array.sub all_children (split + 1) (Array.length all_children - split - 1);
+                     seps = Array.sub all_seps (split + 1) (Array.length all_seps - split - 1);
+                   });
+              seps.(left_idx) <- all_seps.(split);
+              node
+            end
+        | Leaf _, Internal _ | Internal _, Leaf _ ->
+            raise (Wire.Corrupt "Btree: siblings at different depths"))
+  end
+
+(* Remove the entry at the probe from the leaf [page] pinned in [buf]:
+   one blit closes the gap. *)
+let leaf_remove t page buf n key oid =
+  let i, off = lower_bound_at buf n key oid in
+  if i >= n || compare_entry_at buf off key oid <> 0 then Missing
+  else begin
+    let stop = entries_end buf n ~ptr:0 i off in
+    let size = Key.size_at buf off + Oid.encoded_size in
+    Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
+        Bytes.blit buf (off + size) buf off (stop - off - size);
+        Bytes.set_uint16_le buf 1 (n - 1));
+    let min =
+      if i > 0 then Same_min
+      else if n = 1 then Emptied
+      else New_min (fst (read_entry buf header_size))
+    in
+    Removed
+      { min; underfull = underfull_at t ~leaf:true ~n:(n - 1) ~bytes:(stop - size); count = n - 1 }
+  end
+
+let rec delete_rec t page key oid =
+  match step t page key oid ~at_leaf:(fun buf n -> leaf_remove t page buf n key oid) with
+  | At_leaf removal -> removal
+  | Down d -> (
+      match delete_rec t d.child key oid with
+      | Missing -> Missing
+      | Removed r ->
+          let stale = match r.min with Same_min -> false | New_min _ | Emptied -> d.idx > 0 in
+          if not (stale || r.underfull) then
+            Removed { min = r.min; underfull = d.underfull; count = d.n }
+          else
+            update_internal t page (fun children seps ->
+                let idx = d.idx in
+                let min =
+                  match r.min with
+                  | New_min e when idx > 0 ->
+                      seps.(idx - 1) <- e;
+                      Same_min
+                  | Emptied when idx > 0 ->
+                      (* The empty child merges with its right sibling, if
+                         any, and that removes the sibling's separator: this
+                         one takes its value. *)
+                      if idx < Array.length seps then seps.(idx - 1) <- seps.(idx);
+                      Same_min
+                  | Emptied when Array.length seps > 0 ->
+                      (* The empty first child merges with the second, whose
+                         minimum becomes this node's. *)
+                      New_min seps.(0)
+                  | m -> m
+                in
+                let node =
+                  if r.underfull then rebalance_child t ~children ~seps idx
+                  else Internal { children; seps }
+                in
+                (node, Removed { min; underfull = underfull t node; count = entry_count_of node })))
+
+(* Collapse a root with a single child into it. *)
+let rec collapse_root t =
+  match read_node t t.root with
+  | Internal { children; seps } when Array.length seps = 0 ->
+      write_node t t.root (read_node t children.(0));
+      free_page t children.(0);
+      collapse_root t
+  | Internal _ | Leaf _ -> ()
 
 let delete t key oid =
-  let found = delete_rec t t.root (key, oid) in
-  if found then begin
-    t.count <- t.count - 1;
-    (* Collapse a root with a single child. *)
-    let rec collapse () =
-      match read_node t t.root with
-      | Internal { children; seps } when Array.length seps = 0 ->
-          let child = read_node t children.(0) in
-          write_node t t.root child;
-          free_page t children.(0);
-          collapse ()
-      | Internal _ | Leaf _ -> ()
-    in
-    collapse ()
-  end;
-  found
+  match delete_rec t t.root key (Oid.to_int64 oid) with
+  | Missing -> false
+  | Removed { count; _ } ->
+      t.count <- t.count - 1;
+      if count = 0 then collapse_root t;
+      true
 
 (* ------------------------------------------------------------------ *)
 (* Bulk load                                                           *)

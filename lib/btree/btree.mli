@@ -8,7 +8,10 @@
     occurrence.
 
     Nodes occupy one page each; splits are byte-driven, deletes rebalance by
-    borrowing or merging, and leaves are chained for range scans.  This is
+    borrowing or merging, and leaves are chained for range scans.  Searches
+    run on the pinned page bytes, and an insert or delete touches one
+    root-to-leaf path, editing the leaf in place unless it splits or
+    underflows.  This is
     the index structure the paper assumes on [field_r] / [field_s]
     (clustered or not is a property of the heap file's physical order, not
     of the tree). *)

@@ -313,18 +313,28 @@ let test_lookup_touches_one_page_per_level () =
       h (stats.Fieldrep_storage.Stats.buffer_hits + stats.Fieldrep_storage.Stats.page_reads)
   done
 
-(* Searches read the page bytes in place; damage must still surface as
-   [Wire.Corrupt], never as an out-of-bounds read. *)
+(* Searches, inserts and deletes read the page bytes in place; damage
+   must still surface as [Wire.Corrupt], never as an out-of-bounds read. *)
 let test_search_rejects_corrupt_nodes () =
   let corrupted keys ~off ~byte probe =
-    let pager = mk_pager () in
-    let t = Btree.create pager in
-    List.iteri (fun i k -> Btree.insert t k (oid i)) keys;
-    Pager.with_page_write pager ~file:(Btree.file_id t) ~page:(Btree.root t) (fun buf ->
-        Bytes.set_uint8 buf off byte);
-    match Btree.find t probe with
-    | _ -> Alcotest.failf "no Corrupt for byte %d at offset %d" byte off
-    | exception Fieldrep_util.Wire.Corrupt _ -> ()
+    let ops =
+      [
+        ("find", fun t -> ignore (Btree.find t probe));
+        ("insert", fun t -> Btree.insert t probe (oid 1000));
+        ("delete", fun t -> ignore (Btree.delete t probe (oid 0)));
+      ]
+    in
+    List.iter
+      (fun (name, op) ->
+        let pager = mk_pager () in
+        let t = Btree.create pager in
+        List.iteri (fun i k -> Btree.insert t k (oid i)) keys;
+        Pager.with_page_write pager ~file:(Btree.file_id t) ~page:(Btree.root t) (fun buf ->
+            Bytes.set_uint8 buf off byte);
+        match op t with
+        | () -> Alcotest.failf "%s: no Corrupt for byte %d at offset %d" name byte off
+        | exception Fieldrep_util.Wire.Corrupt _ -> ())
+      ops
   in
   let ints = List.init 10 (fun i -> Key.Int i) in
   let strings = List.map (fun s -> Key.String s) [ "ab"; "abc"; "b" ] in
@@ -353,6 +363,67 @@ let test_lookup_allocation_bound () =
   if per_lookup > 420. then
     Alcotest.failf "Btree.find allocates %.0f words per lookup (bound 420)" per_lookup
 
+(* A write touches one root-to-leaf path: the in-place descent pins each
+   node once, the leaf is pinned again to edit it, and the parent is
+   rewritten only when the leaf splits, underflows or loses its first
+   entry.  So however many children the root has, a non-splitting insert
+   and a non-rebalancing delete each touch at most height + 2 pages, and
+   allocate a small, fixed number of words.  Measured: 230 words per
+   insert and 240 per delete, about half of it the three buffer-pool
+   pins; the bounds are twice that. *)
+let test_write_path_cost () =
+  let pager = Pager.create ~page_size:4096 ~frames:64 () in
+  let t = Btree.create pager in
+  for i = 0 to 2999 do
+    Btree.insert t (Key.Int (2 * i)) (oid i)
+  done;
+  let h = Btree.height t in
+  checki "two levels" 2 h;
+  let leaves = Btree.leaf_count t in
+  checkb "several leaves" true (leaves >= 8);
+  let pages = Btree.page_count t in
+  let stats = Pager.stats pager in
+  let touched what f =
+    Fieldrep_storage.Stats.reset stats;
+    f ();
+    let n = stats.Fieldrep_storage.Stats.buffer_hits + stats.Fieldrep_storage.Stats.page_reads in
+    if n > h + 2 then Alcotest.failf "%s touched %d pages (bound %d)" what n (h + 2);
+    n
+  in
+  (* Keys below 4,000 only: the last leaves are nearly full. *)
+  for i = 0 to 499 do
+    ignore (touched "insert" (fun () -> Btree.insert t (Key.Int ((8 * i) + 1)) (oid (10_000 + i))))
+  done;
+  (* Every fourth even key crosses leaf boundaries, so some deletes
+     remove a leaf's first entry and refresh a separator. *)
+  let refreshed = ref 0 in
+  for i = 0 to 499 do
+    if touched "delete" (fun () -> ignore (Btree.delete t (Key.Int (8 * i)) (oid (4 * i)))) = h + 2
+    then incr refreshed
+  done;
+  checkb "some deletes refreshed a separator" true (!refreshed > 0);
+  checki "no split or merge" pages (Btree.page_count t);
+  checki "same leaves" leaves (Btree.leaf_count t);
+  Btree.check_invariants t;
+  let words_per n f =
+    let before = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      f i
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let per_insert =
+    words_per 500 (fun i -> Btree.insert t (Key.Int ((8 * i) + 5)) (oid (20_000 + i)))
+  in
+  let per_delete =
+    words_per 500 (fun i -> ignore (Btree.delete t (Key.Int ((8 * i) + 1)) (oid (10_000 + i))))
+  in
+  checki "still no split or merge" pages (Btree.page_count t);
+  if per_insert > 460. then
+    Alcotest.failf "Btree.insert allocates %.0f words per insert (bound 460)" per_insert;
+  if per_delete > 480. then
+    Alcotest.failf "Btree.delete allocates %.0f words per delete (bound 480)" per_delete
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
@@ -366,9 +437,49 @@ let string_key =
       string_size ~gen:(oneofl [ '\x00'; 'a'; 'b'; '\x7f'; '\x80'; '\xff' ]) (0 -- 4);
     ]
 
+(* Separators stay equal to their subtree's minimum through every delete,
+   including the merges and rotations that move separators between
+   internal nodes.  Small entry caps give trees of 3+ levels from a few
+   dozen entries.  Three entries share each key, and their OIDs' file
+   numbers straddle the sign bit of the packed form. *)
+let separator_property ~name key_of =
+  QCheck.Test.make ~name ~count:150
+    QCheck.(
+      triple (int_range 3 6) (int_range 3 6)
+        (list_of_size Gen.(1 -- 300) (pair (int_range 0 59) bool)))
+    (fun (leaf_cap, internal_cap, ops) ->
+      let t = mk_tree ~max_leaf_entries:leaf_cap ~max_internal_entries:internal_cap () in
+      let entry_oid i = { Oid.file = (i * 4099) land 0xffff; page = i; slot = 0 } in
+      let present = Array.make 60 false in
+      List.iter
+        (fun (i, ins) ->
+          let key = key_of (i / 3) in
+          if ins then begin
+            if not present.(i) then Btree.insert t key (entry_oid i);
+            present.(i) <- true
+          end
+          else begin
+            if Btree.delete t key (entry_oid i) <> present.(i) then
+              QCheck.Test.fail_reportf "delete of entry %d returned the wrong result" i;
+            present.(i) <- false;
+            Btree.check_invariants t
+          end)
+        ops;
+      List.for_all
+        (fun k ->
+          let want =
+            List.filter (fun i -> present.(i)) [ 3 * k; (3 * k) + 1; (3 * k) + 2 ]
+            |> List.map entry_oid |> List.sort Oid.compare
+          in
+          List.equal Oid.equal (Btree.find t (key_of k)) want)
+        (List.init 20 Fun.id))
+
 let qcheck_tests =
   let open QCheck in
   [
+    separator_property ~name:"separators stay exact (Int keys)" (fun k -> Key.Int k);
+    separator_property ~name:"separators stay exact (String keys)" (fun k ->
+        Key.String (String.make (k mod 3) '\xff' ^ string_of_int k));
     Test.make ~name:"btree matches sorted-assoc model" ~count:40
       (list_of_size Gen.(1 -- 300) (pair (int_range 0 100) bool))
       (fun ops ->
@@ -522,6 +633,7 @@ let () =
           Alcotest.test_case "lookup touches one page per level" `Quick
             test_lookup_touches_one_page_per_level;
           Alcotest.test_case "lookup allocation bounded" `Quick test_lookup_allocation_bound;
+          Alcotest.test_case "write path cost bounded" `Quick test_write_path_cost;
           Alcotest.test_case "corrupt nodes raise Corrupt" `Quick
             test_search_rejects_corrupt_nodes;
         ] );

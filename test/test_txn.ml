@@ -104,6 +104,24 @@ let test_lock_upgrade () =
       checki "blocked only by the other reader" 1 (List.length holders);
       checki "the other reader" 2 (List.hd holders)
 
+(* An upgrade re-grants a resource its transaction already holds: the
+   held list keeps it once, and release still drains the table. *)
+let test_lock_upgrade_held_once () =
+  let l = Lock.create () in
+  let r = Lock.Obj { Oid.file = 1; page = 2; slot = 3 } in
+  let fresh = Lock.Obj { Oid.file = 1; page = 2; slot = 4 } in
+  for txn = 1 to 3 do
+    List.iter (fun m -> Lock.acquire l ~txn r m) [ Lock.IS; Lock.IX; Lock.X; Lock.IS; Lock.X ];
+    Lock.grant l ~txn r Lock.X;
+    checki "upgraded resource held once" 1 (Lock.held_count l ~txn);
+    Lock.grant l ~txn fresh Lock.X;
+    Lock.grant l ~txn fresh Lock.S;
+    checki "granted resource held once" 2 (Lock.held_count l ~txn);
+    Lock.release_all l ~txn;
+    checki "nothing held after release" 0 (Lock.held_count l ~txn);
+    checki "lock table drained" 0 (Lock.active_locks l)
+  done
+
 let test_lock_deadlock () =
   let stats = Stats.create () in
   let l = Lock.create ~stats () in
@@ -378,6 +396,7 @@ let () =
         [
           Alcotest.test_case "granularity compatibility" `Quick test_lock_compat;
           Alcotest.test_case "upgrade" `Quick test_lock_upgrade;
+          Alcotest.test_case "upgrade holds once" `Quick test_lock_upgrade_held_once;
           Alcotest.test_case "deadlock detection" `Quick test_lock_deadlock;
         ] );
       ( "commit/abort",
