@@ -698,6 +698,26 @@ let micro () =
       Test.make ~name:"deref 2-level (no replication)" (Staged.stage (deref emp_plain emps_plain));
       Test.make ~name:"deref 2-level (in-place)" (Staged.stage (deref emp_inplace emps_inplace));
       Test.make ~name:"deref 2-level (separate)" (Staged.stage (deref emp_separate emps_separate));
+      (* The perfbench point_warm query: an indexed ~20-row selection
+         projecting a plain field, an in-place path and a separate path,
+         writing and then dropping its output file. *)
+      Test.make ~name:"retrieve 20 rows, 3 projections"
+        (let db = Gen.employee_db ~norgs:4 ~ndepts:30 ~nemps:2000 ~seed:61 () in
+         Db.replicate db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.org.name");
+         Db.replicate db ~strategy:Schema.Separate (Path.parse "Emp1.dept.name");
+         Db.build_index db ~name:"emp_salary" ~set:"Emp1" ~field:"salary" ~clustered:false;
+         Staged.stage (fun () ->
+             incr counter;
+             let lo = 30_000 + (!counter * 7919 mod 118_800) in
+             let res =
+               Exec.retrieve db
+                 {
+                   Ast.from_set = "Emp1";
+                   projections = [ "name"; "dept.org.name"; "dept.name" ];
+                   where = Some (Ast.between "salary" (Value.VInt lo) (Value.VInt (lo + 1199)));
+                 }
+             in
+             Exec.drop_output db res.Exec.output_file));
       Test.make ~name:"propagate org.name (in-place)"
         (Staged.stage (fun () ->
              incr counter;

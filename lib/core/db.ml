@@ -32,6 +32,7 @@ type index_rt = {
 }
 
 type deref_plan =
+  | P_field of int  (* a plain field of the row: value index *)
   | P_hidden of int * Schema.replication
       (* in-place / collapsed: hidden copy at value index *)
   | P_sprime of int * int  (* separate: hidden sref at index, field offset in S' *)
@@ -664,11 +665,11 @@ let insert_at_impl t ~set oid values =
       List.iter (fun rt -> index_insert rt oid record) (indexes_of_set t set);
       Engine.on_insert t.engine ~set oid)
 
-let get ?txn t ~set oid =
+let get_encoded ?txn t ~set oid =
   locking t txn (fun tx -> lock_read t tx ~set oid);
-  with_charge t txn (fun () ->
-      let hf = set_file t set in
-      Record.decode (Heap_file.read hf oid))
+  with_charge t txn (fun () -> Heap_file.read (set_file t set) oid)
+
+let get ?txn t ~set oid = Record.decode (get_encoded ?txn t ~set oid)
 
 (* [pin]: leave a tombstone in the slot instead of freeing it, so the OID
    cannot be recycled while the deleting transaction is undecided. *)
@@ -861,10 +862,12 @@ let field_value t ~set record field =
   let ty = Schema.set_type t.schema set in
   value_at record (Ty.field_index ty field)
 
-let scan ?txn t ~set f =
+let scan_encoded ?txn t ~set f =
   locking t txn (fun tx -> lock t tx (Lock.Set set) Lock.S);
-  with_charge t txn (fun () ->
-      Heap_file.iter (set_file t set) (fun oid bytes -> f oid (Record.decode bytes)))
+  with_charge t txn (fun () -> Heap_file.iter (set_file t set) f)
+
+let scan ?txn t ~set f =
+  scan_encoded ?txn t ~set (fun oid bytes -> f oid (Record.decode bytes))
 
 let set_size t set = Heap_file.object_count (set_file t set)
 let set_pages t set = Heap_file.page_count (set_file t set)
@@ -989,8 +992,26 @@ let deref_walk t ~set record expr =
   in
   walk (Schema.set_type t.schema set).Ty.tname record parts
 
-let deref_record ?txn ?oid t ~set record expr =
-  match plan_deref t ~set expr with
+(* The S' object [sp] as encoded bytes.  The S' object is guarded by the
+   final object that owns it (named in slot 1): a shared lock there
+   serialises this read against writers of the replicated fields. *)
+let sprime_bytes ?txn t sp =
+  let file =
+    match Store.file_of_oid t.store sp with
+    | Some f -> f
+    | None -> invalid_arg "Db.deref: dangling S' reference"
+  in
+  let bytes = Heap_file.read file sp in
+  locking t txn (fun tx ->
+      match Record.value_of_bytes bytes 1 with
+      | Value.VRef owner -> lock_read t tx ~set:(set_of_oid t owner) owner
+      | Value.VInt _ | Value.VString _ | Value.VNull -> ());
+  bytes
+
+(* The value [plan] selects, from the decoded row [record]. *)
+let eval_plan ?txn ?oid t ~set record expr plan =
+  match plan with
+  | P_field idx -> value_at record idx
   | P_hidden (idx, rep) -> (
       if not rep.Schema.options.Schema.lazy_propagation then value_at record idx
       else
@@ -1003,8 +1024,7 @@ let deref_record ?txn ?oid t ~set record expr =
             locking t txn (fun tx ->
                 if Engine.is_pending t.engine rep oid then lock_write t tx ~set oid);
             Engine.repair t.engine rep oid;
-            let record = Record.decode (Heap_file.read (set_file t set) oid) in
-            value_at record idx
+            Record.value_of_bytes (Heap_file.read (set_file t set) oid) idx
         | None ->
             if Engine.pending_count t.engine = 0 then value_at record idx
             else (* correctness first: evaluate through the references *)
@@ -1012,27 +1032,14 @@ let deref_record ?txn ?oid t ~set record expr =
   | P_sprime (idx, offset) -> (
       match value_at record idx with
       | Value.VRef sp -> (
-          try
-            let file =
-              match Store.file_of_oid t.store sp with
-              | Some f -> f
-              | None -> invalid_arg "Db.deref: dangling S' reference"
-            in
-            let sp_rec = Record.decode (Heap_file.read file sp) in
-            (* The S' object is guarded by the final object that owns it
-               (named in slot 1): a shared lock there serialises this read
-               against writers of the replicated fields. *)
-            locking t txn (fun tx ->
-                match value_at sp_rec 1 with
-                | Value.VRef owner -> lock_read t tx ~set:(set_of_oid t owner) owner
-                | Value.VInt _ | Value.VString _ | Value.VNull -> ());
-            value_at sp_rec offset
-          with Disk.Corrupt_page _ ->
-            (* The S' page is quarantined.  The replicated value is only a
-               copy: degrade gracefully to the functional join over the
-               source objects, which remain authoritative. *)
-            Stats.bump (stats t) Stats.Degraded_reads;
-            deref_walk t ~set record expr)
+          match sprime_bytes ?txn t sp with
+          | bytes -> Record.value_of_bytes bytes offset
+          | exception Disk.Corrupt_page _ ->
+              (* The S' page is quarantined.  The replicated value is only a
+                 copy: degrade gracefully to the functional join over the
+                 source objects, which remain authoritative. *)
+              Stats.bump (stats t) Stats.Degraded_reads;
+              deref_walk t ~set record expr)
       | Value.VNull -> Value.VNull
       | Value.VInt _ | Value.VString _ -> invalid_arg "Db.deref: corrupt sref slot")
   | P_walk (hops, terminal_idx) ->
@@ -1050,13 +1057,79 @@ let deref_record ?txn ?oid t ~set record expr =
       in
       walk record hops
 
+let deref_record ?txn ?oid t ~set record expr =
+  eval_plan ?txn ?oid t ~set record expr (plan_deref t ~set expr)
+
+(* ------------------------------------------------------------------ *)
+(* Encoded projections: values read where they are stored              *)
+
+let null_encoding = Bytes.make 1 '\000'
+
+let encoded v =
+  let buf = Bytes.create (Value.encoded_size v) in
+  ignore (Value.encode buf 0 v);
+  (buf, 0, Bytes.length buf)
+
+(* Value [i] of an encoded record, as a slice of its bytes. *)
+let slice bytes i =
+  let off = Record.value_offset bytes i in
+  if off < 0 then (null_encoding, 0, 1)
+  else (bytes, off, Value.encoded_end bytes off - off)
+
+(* Where the value [plan] selects for the row [bytes] is encoded.  A
+   plain field, an eager in-place copy and an S' field are slices of the
+   row or of the S' object; lazily propagated copies, joins and reads
+   around a quarantined S' page decode the row and take [eval_plan]'s
+   path, and their value is encoded afresh. *)
+let plan_slice ?txn ~oid t ~set bytes expr plan =
+  match plan with
+  | P_field idx -> slice bytes idx
+  | P_hidden (idx, rep) when not rep.Schema.options.Schema.lazy_propagation -> slice bytes idx
+  | P_sprime (idx, offset) -> (
+      match Record.value_of_bytes bytes idx with
+      | Value.VRef sp -> (
+          match sprime_bytes ?txn t sp with
+          | sp_bytes -> slice sp_bytes offset
+          | exception Disk.Corrupt_page _ ->
+              Stats.bump (stats t) Stats.Degraded_reads;
+              encoded (deref_walk t ~set (Record.decode bytes) expr))
+      | Value.VNull -> (null_encoding, 0, 1)
+      | Value.VInt _ | Value.VString _ -> invalid_arg "Db.deref: corrupt sref slot")
+  | P_hidden _ | P_walk _ -> encoded (eval_plan ?txn ~oid t ~set (Record.decode bytes) expr plan)
+
 let deref ?txn t ~set oid expr =
   with_charge t txn (fun () ->
-      deref_record ?txn ~oid t ~set (get ?txn t ~set oid) expr)
+      let bytes = get_encoded ?txn t ~set oid in
+      match plan_deref t ~set expr with
+      | P_walk _ as plan -> eval_plan ?txn ~oid t ~set (Record.decode bytes) expr plan
+      | plan ->
+          let src, off, _ = plan_slice ?txn ~oid t ~set bytes expr plan in
+          fst (Value.decode src off))
+
+type projection = {
+  pset : string;
+  pexpr : string;
+  mutable pepoch : int;  (* schema epoch [pplan] was compiled at; -1: never *)
+  mutable pplan : deref_plan;
+}
+
+let projection ~set expr = { pset = set; pexpr = expr; pepoch = -1; pplan = P_field 0 }
+
+(* Compiled on first use, like the cached deref plans, and again after
+   any DDL or replication state flip. *)
+let project_slice ?txn t ~oid bytes p =
+  let epoch = Schema.epoch t.schema in
+  if p.pepoch <> epoch then begin
+    p.pplan <-
+      (if String.contains p.pexpr '.' then plan_deref t ~set:p.pset p.pexpr
+       else P_field (Ty.field_index (Schema.set_type t.schema p.pset) p.pexpr));
+    p.pepoch <- epoch
+  end;
+  plan_slice ?txn ~oid t ~set:p.pset bytes p.pexpr p.pplan
 
 let deref_would_join t ~set expr =
   match plan_deref t ~set expr with
-  | P_hidden _ -> 0
+  | P_field _ | P_hidden _ -> 0
   | P_sprime _ -> 1
   | P_walk (hops, _) -> List.length hops
 

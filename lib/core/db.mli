@@ -222,6 +222,11 @@ val update_field : ?txn:txn -> t -> set:string -> Oid.t -> field:string -> Value
 val get : ?txn:txn -> t -> set:string -> Oid.t -> Record.t
 (** The raw stored record (user + hidden values). *)
 
+val get_encoded : ?txn:txn -> t -> set:string -> Oid.t -> Bytes.t
+(** {!get} before {!Record.decode}: the stored record's bytes, copied
+    once from the pages that hold them.  Locks and counts I/O like
+    {!get}. *)
+
 val user_values : t -> set:string -> Record.t -> Value.t list
 (** The user-visible fields only. *)
 
@@ -251,6 +256,37 @@ val deref_would_join : t -> set:string -> string -> int
 
 val scan : ?txn:txn -> t -> set:string -> (Oid.t -> Record.t -> unit) -> unit
 (** Physical-order scan. *)
+
+val scan_encoded : ?txn:txn -> t -> set:string -> (Oid.t -> Bytes.t -> unit) -> unit
+(** {!scan} handing each record over as {!get_encoded} does. *)
+
+(** {1 Encoded projections}
+
+    The read path of queries: a projection reads its value where it is
+    stored — in the row's bytes, or in the S' object's — and hands it on
+    still encoded, so a result tuple is assembled from slices without
+    building a [Value.t] array per row. *)
+
+type projection
+(** A field name or path expression over one set, compiled on first use
+    and again whenever the schema changes. *)
+
+val projection : set:string -> string -> projection
+(** Nothing is resolved yet: an unknown field or bad path raises from the
+    first {!project_slice}, as {!field_value} / {!deref_record} would. *)
+
+val project_slice :
+  ?txn:txn -> t -> oid:Oid.t -> Bytes.t -> projection -> Bytes.t * int * int
+(** [project_slice db ~oid bytes p] is [(src, off, len)]: the encoded
+    value of [p] for the object [oid] whose record is [bytes] (from
+    {!get_encoded} or {!scan_encoded}) is [Bytes.sub src off len].  It
+    equals [Value.encode] of [field_value] or [deref_record ~oid] on the
+    decoded record, and takes the same locks in the same order.  [src] is
+    [bytes] itself for a plain field or an eager in-place copy, the S'
+    object for a separate copy, and a fresh encoding for a lazily
+    propagated copy, a join, or a read that degrades to the join around a
+    quarantined S' page (bumping [Degraded_reads] once).  The slice must
+    not be modified. *)
 
 val set_size : t -> string -> int
 val set_pages : t -> string -> int

@@ -76,6 +76,42 @@ let decode buf =
 
 let type_tag_of_bytes buf = fst (Wire.get_u16 buf 0)
 
+(* The record view: positions inside the encoding, found by skipping the
+   link section and the values before [i] by their lengths alone. *)
+let value_offset buf i =
+  if i < 0 then invalid_arg (Printf.sprintf "Record.value_offset: index %d" i);
+  Wire.check_bounds buf 0 3;
+  let count_at = 3 + (Bytes.get_uint8 buf 2 * (Oid.encoded_size + 1)) in
+  Wire.check_bounds buf count_at 2;
+  if i >= Bytes.get_uint16_le buf count_at then -1
+  else begin
+    let off = ref (count_at + 2) in
+    for _ = 1 to i do
+      off := Value.encoded_end buf !off
+    done;
+    !off
+  end
+
+let value_of_bytes buf i =
+  let off = value_offset buf i in
+  if off < 0 then Value.VNull else fst (Value.decode buf off)
+
+let of_value_slices ~type_tag srcs offs lens =
+  let n = Array.length srcs in
+  let size = ref (2 + 1 + 2) in
+  for i = 0 to n - 1 do
+    size := !size + lens.(i)
+  done;
+  let buf = Bytes.create !size in
+  let off = Wire.put_u16 buf 0 type_tag in
+  let off = Wire.put_u8 buf off 0 in
+  let off = ref (Wire.put_u16 buf off n) in
+  for i = 0 to n - 1 do
+    Bytes.blit srcs.(i) offs.(i) buf !off lens.(i);
+    off := !off + lens.(i)
+  done;
+  buf
+
 let pp fmt t =
   Format.fprintf fmt "@[<hov 2>{tag=%d;@ links=[%a];@ values=[%a]}@]" t.type_tag
     (Format.pp_print_list

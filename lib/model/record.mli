@@ -47,4 +47,27 @@ val decode : Bytes.t -> t
 val type_tag_of_bytes : Bytes.t -> int
 (** Peek at the tag without decoding the rest. *)
 
+(** {1 Record view}
+
+    Reads of one value straight from an encoding, without building the
+    [values] array or the [links] list.  Malformed bytes raise
+    [Wire.Corrupt], as {!decode} does. *)
+
+val value_offset : Bytes.t -> int -> int
+(** [value_offset buf i] is the offset in [buf] at which value [i] of the
+    encoded record starts — it ends at [Value.encoded_end buf off] — or
+    [-1] when the record holds [i] values or fewer (such a value reads as
+    [VNull]).  Raises [Invalid_argument] when [i] is negative. *)
+
+val value_of_bytes : Bytes.t -> int -> Value.t
+(** [value_of_bytes buf i] decodes value [i] alone: [VNull] past the end
+    of a short record. *)
+
+val of_value_slices :
+  type_tag:int -> Bytes.t array -> int array -> int array -> Bytes.t
+(** [of_value_slices ~type_tag srcs offs lens] is the link-free record
+    whose value [i] is the encoded value [Bytes.sub srcs.(i) offs.(i)
+    lens.(i)] — byte for byte [encode (make ~type_tag values)] when each
+    slice holds one encoded value — built with one blit per value. *)
+
 val pp : Format.formatter -> t -> unit

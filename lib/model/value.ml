@@ -73,6 +73,22 @@ let decode buf off =
     (VRef oid, off)
   else raise (Wire.Corrupt (Printf.sprintf "Value: bad tag %d" tag))
 
+let encoded_end buf off =
+  Wire.check_bounds buf off 1;
+  let tag = Bytes.get_uint8 buf off in
+  let stop =
+    if tag = tag_null then off + 1
+    else if tag = tag_int then off + 1 + 8
+    else if tag = tag_ref then off + 1 + Oid.encoded_size
+    else if tag = tag_string then begin
+      Wire.check_bounds buf (off + 1) 2;
+      off + 1 + 2 + Bytes.get_uint16_le buf (off + 1)
+    end
+    else raise (Wire.Corrupt (Printf.sprintf "Value: bad tag %d" tag))
+  in
+  Wire.check_bounds buf off (stop - off);
+  stop
+
 let as_int = function
   | VInt v -> v
   | v -> invalid_arg ("Value.as_int: " ^ to_string v)

@@ -19,6 +19,11 @@ val encoded_size : t -> int
 val encode : Bytes.t -> int -> t -> int
 val decode : Bytes.t -> int -> t * int
 
+val encoded_end : Bytes.t -> int -> int
+(** [encoded_end buf off] is the offset just past the value encoded at
+    [off], found from its tag and length prefix without decoding it or
+    allocating.  Raises [Wire.Corrupt] where {!decode} would. *)
+
 val as_int : t -> int
 (** Raises [Invalid_argument] on other variants; same for the others. *)
 

@@ -72,8 +72,13 @@ let explain_retrieve db (q : Ast.retrieve) =
         q.Ast.projections;
   }
 
-(* Feed every selected (oid, record) to [f].  Index scans visit in key
-   order; file scans in physical order. *)
+(* The value of a compiled projection for one row, decoded. *)
+let value_of db ~oid bytes proj =
+  let src, off, _ = Db.project_slice db ~oid bytes proj in
+  fst (Value.decode src off)
+
+(* Feed every selected (oid, encoded record) to [f].  Index scans visit
+   in key order; file scans in physical order. *)
 let iter_selected db ~set (where : Ast.predicate option) f =
   match choose_access db ~set where with
   | Index_scan index ->
@@ -85,21 +90,16 @@ let iter_selected db ~set (where : Ast.predicate option) f =
       in
       (* Collect first: callbacks may mutate the tree's pages' residency. *)
       let oids = Db.index_range db ~index ~lo ~hi ~init:[] ~f:(fun acc _ oid -> oid :: acc) in
-      List.iter (fun oid -> f oid (Db.get db ~set oid)) (List.rev oids)
+      List.iter (fun oid -> f oid (Db.get_encoded db ~set oid)) (List.rev oids)
   | File_scan ->
-      Db.scan db ~set (fun oid record ->
+      let filter = Option.map (fun p -> (p, Db.projection ~set p.Ast.pfield)) where in
+      Db.scan_encoded db ~set (fun oid bytes ->
           let keep =
-            match where with
+            match filter with
             | None -> true
-            | Some p ->
-                let v =
-                  if String.contains p.Ast.pfield '.' then
-                    Db.deref_record ~oid db ~set record p.Ast.pfield
-                  else Db.field_value db ~set record p.Ast.pfield
-                in
-                value_in_range p v
+            | Some (p, proj) -> value_in_range p (value_of db ~oid bytes proj)
           in
-          if keep then f oid record)
+          if keep then f oid bytes)
 
 let matching_oids db ~set where =
   let acc = ref [] in
@@ -108,26 +108,29 @@ let matching_oids db ~set where =
 
 type retrieve_result = { rows : int; output_file : int; output_pages : int }
 
-let project db ~set ~oid record projections =
-  List.map
-    (fun expr ->
-      if String.contains expr '.' then Db.deref_record ~oid db ~set record expr
-      else Db.field_value db ~set record expr)
-    projections
-
 let drop_output db file = Pager.delete_file (Db.pager db) file
 
-(* A scan or projection that raises (a quarantined page, a bad path
-   expression) must not leak the half-written output file or its frames. *)
+(* Each output tuple is assembled from the encoded slices the
+   projections read, one blit per value: the bytes are those of
+   [Record.encode (Record.make ~type_tag:0 values)].  A scan or projection
+   that raises (a quarantined page, a bad path expression) must not leak
+   the half-written output file or its frames. *)
 let retrieve db (q : Ast.retrieve) =
   let set = q.Ast.from_set in
+  let projections = Array.of_list (List.map (Db.projection ~set) q.Ast.projections) in
+  let n = Array.length projections in
+  let srcs = Array.make n Bytes.empty and offs = Array.make n 0 and lens = Array.make n 0 in
   let out = Heap_file.create (Db.pager db) in
   let rows = ref 0 in
   match
-    iter_selected db ~set q.Ast.where (fun oid record ->
-        let values = project db ~set ~oid record q.Ast.projections in
-        let tuple = Record.make ~type_tag:0 (Array.of_list values) in
-        ignore (Heap_file.insert out (Record.encode tuple));
+    iter_selected db ~set q.Ast.where (fun oid bytes ->
+        for i = 0 to n - 1 do
+          let src, off, len = Db.project_slice db ~oid bytes projections.(i) in
+          srcs.(i) <- src;
+          offs.(i) <- off;
+          lens.(i) <- len
+        done;
+        ignore (Heap_file.insert out (Record.of_value_slices ~type_tag:0 srcs offs lens));
         incr rows)
   with
   | () ->
@@ -157,30 +160,30 @@ type agg_state = {
   mutable vmax : Value.t;
 }
 
-let eval_expr db ~set ~oid record expr =
-  if String.contains expr '.' then Db.deref_record ~oid db ~set record expr
-  else Db.field_value db ~set record expr
+let fresh_states specs =
+  List.map (fun _ -> { count = 0; sum = 0; vmin = Value.VNull; vmax = Value.VNull }) specs
 
-let aggregate db ~set ~where specs =
-  let states = List.map (fun _ -> { count = 0; sum = 0; vmin = Value.VNull; vmax = Value.VNull }) specs in
-  iter_selected db ~set where (fun oid record ->
-      List.iter2
-        (fun (agg, expr) st ->
-          match eval_expr db ~set ~oid record expr with
-          | Value.VNull -> ()
-          | v ->
-              st.count <- st.count + 1;
-              (match (agg, v) with
-              | (Sum | Avg), Value.VInt i -> st.sum <- st.sum + i
-              | (Sum | Avg), _ ->
-                  invalid_arg
-                    (Printf.sprintf "Exec.aggregate: sum/avg over non-integer %s" expr)
-              | (Count | Min | Max), _ -> ());
-              if st.vmin = Value.VNull || Value.compare v st.vmin < 0 then st.vmin <- v;
-              if st.vmax = Value.VNull || Value.compare v st.vmax > 0 then st.vmax <- v)
-        specs states);
+(* Fold one row into every aggregate; [specs] pairs each aggregate with
+   its compiled projection. *)
+let accumulate db ~who ~oid bytes specs states =
+  List.iter2
+    (fun (agg, proj, expr) st ->
+      match value_of db ~oid bytes proj with
+      | Value.VNull -> ()
+      | v ->
+          st.count <- st.count + 1;
+          (match (agg, v) with
+          | (Sum | Avg), Value.VInt i -> st.sum <- st.sum + i
+          | (Sum | Avg), _ ->
+              invalid_arg (Printf.sprintf "Exec.%s: sum/avg over non-integer %s" who expr)
+          | (Count | Min | Max), _ -> ());
+          if st.vmin = Value.VNull || Value.compare v st.vmin < 0 then st.vmin <- v;
+          if st.vmax = Value.VNull || Value.compare v st.vmax > 0 then st.vmax <- v)
+    specs states
+
+let results specs states =
   List.map2
-    (fun (agg, _) st ->
+    (fun (agg, _, _) st ->
       match agg with
       | Count -> Value.VInt st.count
       | Sum -> if st.count = 0 then Value.VNull else Value.VInt st.sum
@@ -189,52 +192,37 @@ let aggregate db ~set ~where specs =
       | Max -> st.vmax)
     specs states
 
+let compile_specs ~set specs =
+  List.map (fun (agg, expr) -> (agg, Db.projection ~set expr, expr)) specs
+
+let aggregate db ~set ~where specs =
+  let specs = compile_specs ~set specs in
+  let states = fresh_states specs in
+  iter_selected db ~set where (fun oid bytes ->
+      accumulate db ~who:"aggregate" ~oid bytes specs states);
+  results specs states
+
 let group_by db ~set ~where ~key specs =
   let module VM = Map.Make (struct
     type t = Value.t
 
     let compare = Value.compare
   end) in
+  let specs = compile_specs ~set specs in
+  let key = Db.projection ~set key in
   let groups = ref VM.empty in
-  iter_selected db ~set where (fun oid record ->
-      let k = eval_expr db ~set ~oid record key in
+  iter_selected db ~set where (fun oid bytes ->
+      let k = value_of db ~oid bytes key in
       let states =
         match VM.find_opt k !groups with
         | Some states -> states
         | None ->
-            let states =
-              List.map (fun _ -> { count = 0; sum = 0; vmin = Value.VNull; vmax = Value.VNull }) specs
-            in
+            let states = fresh_states specs in
             groups := VM.add k states !groups;
             states
       in
-      List.iter2
-        (fun (agg, expr) st ->
-          match eval_expr db ~set ~oid record expr with
-          | Value.VNull -> ()
-          | v ->
-              st.count <- st.count + 1;
-              (match (agg, v) with
-              | (Sum | Avg), Value.VInt i -> st.sum <- st.sum + i
-              | (Sum | Avg), _ ->
-                  invalid_arg
-                    (Printf.sprintf "Exec.group_by: sum/avg over non-integer %s" expr)
-              | (Count | Min | Max), _ -> ());
-              if st.vmin = Value.VNull || Value.compare v st.vmin < 0 then st.vmin <- v;
-              if st.vmax = Value.VNull || Value.compare v st.vmax > 0 then st.vmax <- v)
-        specs states);
-  VM.bindings !groups
-  |> List.map (fun (k, states) ->
-         ( k,
-           List.map2
-             (fun (agg, _) st ->
-               match agg with
-               | Count -> Value.VInt st.count
-               | Sum -> if st.count = 0 then Value.VNull else Value.VInt st.sum
-               | Avg -> if st.count = 0 then Value.VNull else Value.VInt (st.sum / st.count)
-               | Min -> st.vmin
-               | Max -> st.vmax)
-             specs states ))
+      accumulate db ~who:"group_by" ~oid bytes specs states);
+  VM.bindings !groups |> List.map (fun (k, states) -> (k, results specs states))
 
 let delete_where db ~set where =
   let targets = matching_oids db ~set where in
@@ -243,10 +231,12 @@ let delete_where db ~set where =
 
 let retrieve_sorted db (q : Ast.retrieve) ~order_by ?(descending = false) ?limit () =
   let set = q.Ast.from_set in
+  let order_by = Db.projection ~set order_by in
+  let projections = List.map (Db.projection ~set) q.Ast.projections in
   let rows = ref [] in
-  iter_selected db ~set q.Ast.where (fun oid record ->
-      let key = eval_expr db ~set ~oid record order_by in
-      let values = project db ~set ~oid record q.Ast.projections in
+  iter_selected db ~set q.Ast.where (fun oid bytes ->
+      let key = value_of db ~oid bytes order_by in
+      let values = List.map (value_of db ~oid bytes) projections in
       rows := (key, values) :: !rows);
   let compare_rows (a, _) (b, _) =
     let c = Value.compare a b in

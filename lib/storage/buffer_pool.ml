@@ -13,10 +13,22 @@ type frame = {
   data : Bytes.t;
 }
 
+(* The frame table is keyed by one int packing (file, page): a tuple key
+   would be allocated, and hashed structurally, on every lookup.  Pages
+   fit in 32 bits (OIDs bound them) and file ids in the remaining 30. *)
+module Table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+let key ~file ~page = (file lsl 32) lor page
+
 type t = {
   disk : Disk.t;
   frames : frame array;
-  table : (int * int, int) Hashtbl.t;  (* (file, page) -> frame index *)
+  table : int Table.t;  (* key ~file ~page -> frame index *)
   mutable hand : int;
   scratch : Bytes.t;
       (* staging buffer for installs: the physical read lands here before
@@ -45,7 +57,7 @@ let create ?(prefetch = 0) disk ~frames =
   {
     disk;
     frames = Array.init frames make_frame;
-    table = Hashtbl.create (2 * frames);
+    table = Table.create (2 * frames);
     hand = 0;
     scratch = Bytes.make (Disk.page_size disk) '\000';
     prefetch_depth = max 0 prefetch;
@@ -54,7 +66,7 @@ let create ?(prefetch = 0) disk ~frames =
   }
 
 let capacity t = Array.length t.frames
-let resident t = Hashtbl.length t.table
+let resident t = Table.length t.table
 let set_prefetch t depth = t.prefetch_depth <- max 0 depth
 let prefetch_depth t = t.prefetch_depth
 
@@ -68,7 +80,7 @@ let evict_frame t idx =
   let f = t.frames.(idx) in
   assert (f.occupied && f.pins = 0);
   write_back t f;
-  Hashtbl.remove t.table (f.file, f.page);
+  Table.remove t.table (key ~file:f.file ~page:f.page);
   f.occupied <- false;
   f.referenced <- false;
   f.prefetched <- false
@@ -128,7 +140,7 @@ let install_at t idx ~file ~page src =
   (match src with
   | Some bytes -> Bytes.blit bytes 0 f.data 0 (Bytes.length f.data)
   | None -> Bytes.fill f.data 0 (Bytes.length f.data) '\000');
-  Hashtbl.replace t.table (file, page) idx;
+  Table.replace t.table (key ~file ~page) idx;
   idx
 
 (* The physical read goes through [t.scratch] *before* the victim is
@@ -157,7 +169,7 @@ let prefetch_run t ~file ~page =
   let last = min (page + t.prefetch_depth) (Disk.page_count t.disk file - 1) in
   (try
      for p = page + 1 to last do
-       if not (Hashtbl.mem t.table (file, p)) then begin
+       if not (Table.mem t.table (key ~file ~page:p)) then begin
          let idx = install t ~file ~page:p ~read:true in
          t.frames.(idx).prefetched <- true;
          Stats.bump stats Stats.Prefetch_issued
@@ -170,8 +182,8 @@ let prefetch_run t ~file ~page =
   end
 
 let lookup t ~file ~page ~for_new =
-  match Hashtbl.find_opt t.table (file, page) with
-  | Some idx ->
+  match Table.find t.table (key ~file ~page) with
+  | idx ->
       let stats = Disk.stats t.disk in
       Stats.bump stats Stats.Buffer_hits;
       let f = t.frames.(idx) in
@@ -181,7 +193,7 @@ let lookup t ~file ~page ~for_new =
       end;
       f.referenced <- true;
       idx
-  | None ->
+  | exception Not_found ->
       let idx = install t ~file ~page ~read:(not for_new) in
       if t.prefetch_depth > 0 && not for_new then begin
         let sequential = file = t.seq_file && page = t.seq_next in
@@ -199,26 +211,40 @@ let lookup t ~file ~page ~for_new =
       end;
       idx
 
-let pin t ~file ~page ~dirty =
+(* Pins are taken and released by frame index, so a pin/unpin pair
+   allocates nothing: one table lookup, no closures. *)
+let pin_frame t ~file ~page ~dirty =
   let idx = lookup t ~file ~page ~for_new:false in
   let f = t.frames.(idx) in
   Lockdep.acquire Lockdep.Pool_pin;
   f.pins <- f.pins + 1;
   if dirty then f.dirty <- true;
-  f.data
+  idx
+
+let unpin_frame t idx =
+  let f = t.frames.(idx) in
+  if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: frame is not pinned";
+  Lockdep.release Lockdep.Pool_pin;
+  f.pins <- f.pins - 1
+
+let pin t ~file ~page ~dirty = t.frames.(pin_frame t ~file ~page ~dirty).data
 
 let unpin t ~file ~page =
-  match Hashtbl.find_opt t.table (file, page) with
-  | None -> invalid_arg "Buffer_pool.unpin: page not resident"
-  | Some idx ->
-      let f = t.frames.(idx) in
-      if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: frame is not pinned";
-      Lockdep.release Lockdep.Pool_pin;
-      f.pins <- f.pins - 1
+  match Table.find t.table (key ~file ~page) with
+  | idx -> unpin_frame t idx
+  | exception Not_found -> invalid_arg "Buffer_pool.unpin: page not resident"
 
+(* A pinned frame is never a victim, so [idx] still names this page when
+   the callback returns. *)
 let with_pin t ~file ~page ~dirty fn =
-  let buf = pin t ~file ~page ~dirty in
-  Fun.protect ~finally:(fun () -> unpin t ~file ~page) (fun () -> fn buf)
+  let idx = pin_frame t ~file ~page ~dirty in
+  match fn t.frames.(idx).data with
+  | result ->
+      unpin_frame t idx;
+      result
+  | exception e ->
+      unpin_frame t idx;
+      raise e
 
 let with_page_read t ~file ~page fn = with_pin t ~file ~page ~dirty:false fn
 let with_page_write t ~file ~page fn = with_pin t ~file ~page ~dirty:true fn
@@ -238,14 +264,14 @@ let flush t = Array.iter (fun f -> if f.occupied then write_back t f) t.frames
 (* Unmap a frame without write-back. *)
 let discard t idx =
   let f = t.frames.(idx) in
-  Hashtbl.remove t.table (f.file, f.page);
+  Table.remove t.table (key ~file:f.file ~page:f.page);
   f.occupied <- false;
   f.referenced <- false;
   f.prefetched <- false;
   f.dirty <- false
 
 let invalidate t ~file ~page =
-  match Hashtbl.find_opt t.table (file, page) with
+  match Table.find_opt t.table (key ~file ~page) with
   | None -> ()
   | Some idx ->
       if t.frames.(idx).pins > 0 then invalid_arg "Buffer_pool.invalidate: pinned frame";
@@ -259,13 +285,13 @@ let invalidate t ~file ~page =
 let drop_file t ~file =
   let pages = if Disk.file_exists t.disk file then Disk.page_count t.disk file else 0 in
   for page = 0 to pages - 1 do
-    match Hashtbl.find_opt t.table (file, page) with
+    match Table.find_opt t.table (key ~file ~page) with
     | Some idx when t.frames.(idx).pins > 0 ->
         invalid_arg "Buffer_pool.drop_file: pinned frame"
     | Some _ | None -> ()
   done;
   for page = 0 to pages - 1 do
-    match Hashtbl.find_opt t.table (file, page) with
+    match Table.find_opt t.table (key ~file ~page) with
     | Some idx -> discard t idx
     | None -> ()
   done
@@ -283,6 +309,6 @@ let clear t =
         f.prefetched <- false
       end)
     t.frames;
-  Hashtbl.reset t.table;
+  Table.reset t.table;
   t.seq_file <- -1;
   t.seq_next <- -1

@@ -6,6 +6,7 @@ type t = {
   reserve : int;  (* bytes kept free per page during inserts (PCTFREE) *)
   mutable count : int;
   mutable tail_page : int;  (* page that receives the next append, -1 if none *)
+  stage : Buffer.t;  (* reassembles chained payloads; see [read_chain] *)
 }
 
 let kind_head = 0
@@ -26,14 +27,36 @@ let encode_segment ~kind ~next payload_sub =
   Bytes.blit src src_off buf off len;
   buf
 
-let decode_header record =
-  let kind, off = Wire.get_u8 record 0 in
-  let next, off = Oid.decode record off in
-  (kind, next, off)
+(* In-place views of a live slot on a pinned page, so reading a chain
+   header or a kind byte copies nothing.  [segment_at] is the record's
+   offset; a record too short to hold the chain header is corrupt. *)
+let segment_at buf slot =
+  let off = Page.locate buf slot in
+  if Page.read_length buf slot < header_size then
+    raise (Wire.Corrupt "Heap_file: record shorter than its chain header");
+  off
+
+let kind_of buf slot = Bytes.get_uint8 buf (segment_at buf slot)
+
+let next_at buf off =
+  if Oid.is_nil_at buf (off + 1) then Oid.nil else fst (Oid.decode buf (off + 1))
+
+(* [segment_at] for the slot an OID names, which must be live. *)
+let live_segment buf (oid : Oid.t) =
+  if not (Page.is_live buf oid.Oid.slot) then
+    invalid_arg (Printf.sprintf "Heap_file: dead OID %s" (Oid.to_string oid));
+  segment_at buf oid.Oid.slot
 
 let create ?(reserve = 0) pager =
   if reserve < 0 then invalid_arg "Heap_file.create: negative reserve";
-  { pager; file = Pager.create_file pager; reserve; count = 0; tail_page = -1 }
+  {
+    pager;
+    file = Pager.create_file pager;
+    reserve;
+    count = 0;
+    tail_page = -1;
+    stage = Buffer.create 64;
+  }
 
 let file_id t = t.file
 let pager t = t.pager
@@ -51,11 +74,7 @@ let insert_record t record =
      fit alongside the reserve still goes into a fresh page alone. *)
   let try_page page =
     Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
-        let fits_with_reserve =
-          Page.free_space buf >= Bytes.length record + t.reserve
-          || (Page.live_count buf = 0 && Page.fits buf (Bytes.length record))
-        in
-        if fits_with_reserve then Page.insert buf record else None)
+        Page.insert ~reserve:t.reserve buf record)
   in
   let slot, page =
     match if t.tail_page >= 0 then try_page t.tail_page else None with
@@ -106,33 +125,51 @@ let insert t payload =
   Stats.bump (Pager.stats t.pager) Stats.Objects_written;
   head_oid
 
-let read_segment t (oid : Oid.t) =
+(* Kind, next segment and record length of a live slot. *)
+let header t (oid : Oid.t) =
   if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
   Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-      if not (Page.is_live buf oid.Oid.slot) then
-        invalid_arg (Printf.sprintf "Heap_file: dead OID %s" (Oid.to_string oid));
-      Page.read buf oid.Oid.slot)
+      let off = live_segment buf oid in
+      (Bytes.get_uint8 buf off, next_at buf off, Page.read_length buf oid.Oid.slot))
 
-let read_chain t oid expected_kind =
-  let head = read_segment t oid in
-  let kind, next, off = decode_header head in
-  if kind <> expected_kind then
-    invalid_arg
-      (Printf.sprintf "Heap_file: OID %s is not an object head" (Oid.to_string oid));
-  let first = Bytes.sub head off (Bytes.length head - off) in
-  if Oid.is_nil next then first
+(* One copy per stored byte for an unchained object: the payload is cut
+   straight from the pinned frame.  A chained one is staged segment by
+   segment in [t.stage], because its length is known only at the end of
+   the chain and each segment is unpinned before the next is pinned, as
+   every other chain walk does: holding two pins would let the clock skip
+   a frame it would otherwise have aged, which changes later evictions
+   and so the I/O counts. *)
+let read_chain t (oid : Oid.t) expected_kind =
+  if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
+  let next = ref Oid.nil in
+  let payload =
+    Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
+        let off = live_segment buf oid in
+        if Bytes.get_uint8 buf off <> expected_kind then
+          invalid_arg
+            (Printf.sprintf "Heap_file: OID %s is not an object head" (Oid.to_string oid));
+        let len = Page.read_length buf oid.Oid.slot - header_size in
+        next := next_at buf off;
+        if Oid.is_nil !next then Bytes.sub buf (off + header_size) len
+        else begin
+          Buffer.clear t.stage;
+          Buffer.add_subbytes t.stage buf (off + header_size) len;
+          Bytes.empty
+        end)
+  in
+  if Oid.is_nil !next then payload
   else begin
-    let parts = ref [ first ] in
-    let cursor = ref next in
-    while not (Oid.is_nil !cursor) do
-      let seg = read_segment t !cursor in
-      let kind, next, off = decode_header seg in
-      if kind <> kind_segment then
-        raise (Wire.Corrupt "Heap_file: bad segment kind in chain");
-      parts := Bytes.sub seg off (Bytes.length seg - off) :: !parts;
-      cursor := next
+    while not (Oid.is_nil !next) do
+      let seg = !next in
+      Pager.with_page_read t.pager ~file:t.file ~page:seg.Oid.page (fun buf ->
+          let off = live_segment buf seg in
+          if Bytes.get_uint8 buf off <> kind_segment then
+            raise (Wire.Corrupt "Heap_file: bad segment kind in chain");
+          Buffer.add_subbytes t.stage buf (off + header_size)
+            (Page.read_length buf seg.Oid.slot - header_size);
+          next := next_at buf off)
     done;
-    Bytes.concat Bytes.empty (List.rev !parts)
+    Buffer.to_bytes t.stage
   end
 
 let read t oid =
@@ -145,15 +182,13 @@ let exists t (oid : Oid.t) =
   && oid.Oid.page >= 0
   && oid.Oid.page < page_count t
   && Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-         Page.is_live buf oid.Oid.slot
-         && fst (Wire.get_u8 (Page.read buf oid.Oid.slot) 0) = kind_head)
+         Page.is_live buf oid.Oid.slot && kind_of buf oid.Oid.slot = kind_head)
 
 let free_chain t first =
   let cursor = ref first in
   while not (Oid.is_nil !cursor) do
     let oid = !cursor in
-    let seg = read_segment t oid in
-    let kind, next, _ = decode_header seg in
+    let kind, next, _ = header t oid in
     if kind <> kind_segment then raise (Wire.Corrupt "Heap_file: bad chain");
     Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
         Page.delete buf oid.Oid.slot);
@@ -161,8 +196,7 @@ let free_chain t first =
   done
 
 let update t (oid : Oid.t) payload =
-  let head = read_segment t oid in
-  let kind, old_next, _ = decode_header head in
+  let kind, old_next, head_len = header t oid in
   if kind <> kind_head then
     invalid_arg "Heap_file.update: OID is not an object head";
   let write_head record =
@@ -176,7 +210,7 @@ let update t (oid : Oid.t) payload =
   if not placed then begin
     (* Keep the head at its old size (an equal-size write always succeeds)
        and spill the remainder. *)
-    let head_chunk = min (Bytes.length payload) (Bytes.length head - header_size) in
+    let head_chunk = min (Bytes.length payload) (head_len - header_size) in
     let next = spill t payload head_chunk in
     let record = encode_segment ~kind:kind_head ~next (payload, 0, head_chunk) in
     let ok = write_head record in
@@ -186,8 +220,7 @@ let update t (oid : Oid.t) payload =
   Stats.bump (Pager.stats t.pager) Stats.Objects_written
 
 let delete t (oid : Oid.t) =
-  let head = read_segment t oid in
-  let kind, next, _ = decode_header head in
+  let kind, next, _ = header t oid in
   if kind <> kind_head then
     invalid_arg "Heap_file.delete: OID is not an object head";
   Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
@@ -211,13 +244,14 @@ let purge t (oid : Oid.t) =
     if o.Oid.page < 0 || o.Oid.page >= page_count t then None
     else
       Pager.with_page_read t.pager ~file:t.file ~page:o.Oid.page (fun buf ->
-          if Page.is_live buf o.Oid.slot then Some (Page.read buf o.Oid.slot)
+          if Page.is_live buf o.Oid.slot then
+            let off = segment_at buf o.Oid.slot in
+            Some (Bytes.get_uint8 buf off, next_at buf off)
           else None)
   in
   match segment_of oid with
   | None -> ()
-  | Some head ->
-      let kind, next, _ = decode_header head in
+  | Some (kind, next) ->
       drop_slot oid;
       if kind = kind_head then t.count <- t.count - 1;
       let cursor = ref next in
@@ -225,8 +259,7 @@ let purge t (oid : Oid.t) =
       while !continue && not (Oid.is_nil !cursor) do
         match segment_of !cursor with
         | None -> continue := false
-        | Some seg ->
-            let kind, next, _ = decode_header seg in
+        | Some (kind, next) ->
             if kind <> kind_segment then continue := false
             else begin
               drop_slot !cursor;
@@ -238,8 +271,7 @@ let tombstone_record () =
   encode_segment ~kind:kind_tombstone ~next:Oid.nil (Bytes.empty, 0, 0)
 
 let delete_pinned t (oid : Oid.t) =
-  let head = read_segment t oid in
-  let kind, next, _ = decode_header head in
+  let kind, next, _ = header t oid in
   if kind <> kind_head then
     invalid_arg "Heap_file.delete_pinned: OID is not an object head";
   (* A head record is at least [header_size] bytes, so an equal-or-smaller
@@ -255,20 +287,17 @@ let is_tombstone t (oid : Oid.t) =
   && oid.Oid.page >= 0
   && oid.Oid.page < page_count t
   && Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-         Page.is_live buf oid.Oid.slot
-         && fst (Wire.get_u8 (Page.read buf oid.Oid.slot) 0) = kind_tombstone)
+         Page.is_live buf oid.Oid.slot && kind_of buf oid.Oid.slot = kind_tombstone)
 
 let free_tombstone t (oid : Oid.t) =
-  let head = read_segment t oid in
-  let kind, _, _ = decode_header head in
+  let kind, _, _ = header t oid in
   if kind <> kind_tombstone then
     invalid_arg "Heap_file.free_tombstone: OID is not a tombstone";
   Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
       Page.delete buf oid.Oid.slot)
 
 let insert_at t (oid : Oid.t) payload =
-  let head = read_segment t oid in
-  let kind, _, _ = decode_header head in
+  let kind, _, _ = header t oid in
   if kind <> kind_tombstone then
     invalid_arg "Heap_file.insert_at: slot is not a tombstone";
   let write_head record =
@@ -300,21 +329,16 @@ let insert_at t (oid : Oid.t) payload =
    already pinned by the caller. *)
 
 let batch_head t ~op buf ~page slot =
-  if not (Page.is_live buf slot) then
-    invalid_arg
-      (Printf.sprintf "Heap_file: dead OID %s"
-         (Oid.to_string { Oid.file = t.file; page; slot }));
-  let head = Page.read buf slot in
-  let kind, next, off = decode_header head in
-  if kind <> kind_head then
+  let off = live_segment buf { Oid.file = t.file; page; slot } in
+  if Bytes.get_uint8 buf off <> kind_head then
     invalid_arg (Printf.sprintf "Heap_file.%s: OID is not an object head" op);
-  (head, next, off)
+  off
 
 let batch_payload t ~op buf ~page slot =
-  let head, next, off = batch_head t ~op buf ~page slot in
-  if Oid.is_nil next then begin
+  let off = batch_head t ~op buf ~page slot in
+  if Oid.is_nil (next_at buf off) then begin
     Stats.bump (Pager.stats t.pager) Stats.Objects_read;
-    Some (Bytes.sub head off (Bytes.length head - off))
+    Some (Bytes.sub buf (off + header_size) (Page.read_length buf slot - header_size))
   end
   else None
 
@@ -322,8 +346,8 @@ let batch_payload t ~op buf ~page slot =
    [true] means the caller must fall back to the general [update] (which may
    spill) after the pin is released. *)
 let batch_write_deferred t ~op buf ~page (slot, payload) =
-  let _, old_next, _ = batch_head t ~op buf ~page slot in
-  if not (Oid.is_nil old_next) then true
+  let off = batch_head t ~op buf ~page slot in
+  if not (Oid.is_nil (next_at buf off)) then true
   else begin
     let record =
       encode_segment ~kind:kind_head ~next:Oid.nil (payload, 0, Bytes.length payload)
@@ -368,20 +392,20 @@ let modify_batch t ~page slots ~f =
     (fun (slot, payload) -> update t { Oid.file = t.file; page; slot } payload)
     deferred
 
+(* Head slots of one page in slot order, each kind byte read in place. *)
+let head_slots t ~page =
+  Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
+      let heads = ref [] in
+      for slot = Page.slot_count buf - 1 downto 0 do
+        if Page.is_live buf slot && kind_of buf slot = kind_head then heads := slot :: !heads
+      done;
+      !heads)
+
 let iter_heads t f =
-  let pages = page_count t in
-  for page = 0 to pages - 1 do
-    (* Collect head slots while the page is pinned, then call back unpinned
-       so the callback may itself touch storage. *)
-    let heads =
-      Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
-          Page.fold
-            (fun acc slot record ->
-              if fst (Wire.get_u8 record 0) = kind_head then slot :: acc
-              else acc)
-            [] buf)
-    in
-    List.iter (fun slot -> f { Oid.file = t.file; page; slot }) (List.rev heads)
+  for page = 0 to page_count t - 1 do
+    (* The page is unpinned before the callbacks run, so they may
+       themselves touch storage. *)
+    List.iter (fun slot -> f { Oid.file = t.file; page; slot }) (head_slots t ~page)
   done
 
 let iter t f = iter_heads t (fun oid -> f oid (read t oid))
@@ -390,22 +414,12 @@ let iter t f = iter_heads t (fun oid -> f oid (read t oid))
    (resumable-cursor) walk.  Out-of-range pages yield []. *)
 let oids_on_page t ~page =
   if page < 0 || page >= page_count t then []
-  else
-    let heads =
-      Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
-          Page.fold
-            (fun acc slot record ->
-              if fst (Wire.get_u8 record 0) = kind_head then slot :: acc
-              else acc)
-            [] buf)
-    in
-    List.rev_map (fun slot -> { Oid.file = t.file; page; slot }) heads
+  else List.map (fun slot -> { Oid.file = t.file; page; slot }) (head_slots t ~page)
 
 let chained_count t =
   let count = ref 0 in
   iter_heads t (fun oid ->
-      let head = read_segment t oid in
-      let _, next, _ = decode_header head in
+      let _, next, _ = header t oid in
       if not (Oid.is_nil next) then incr count);
   !count
 let iter_oids t f = iter_heads t f
@@ -421,7 +435,14 @@ let recount t =
 
 let attach ?(reserve = 0) pager ~file =
   let t =
-    { pager; file; reserve; count = 0; tail_page = Pager.page_count pager file - 1 }
+    {
+      pager;
+      file;
+      reserve;
+      count = 0;
+      tail_page = Pager.page_count pager file - 1;
+      stage = Buffer.create 64;
+    }
   in
   iter_oids t (fun _ -> t.count <- t.count + 1);
   t

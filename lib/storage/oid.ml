@@ -53,6 +53,12 @@ let decode buf off =
   let v, off = Wire.get_i64 buf off in
   (of_int64 v, off)
 
+let nil_bits = to_int64 nil
+
+let is_nil_at buf off =
+  Wire.check_bounds buf off encoded_size;
+  Bytes.get_int64_le buf off = nil_bits
+
 module Ord = struct
   type nonrec t = t
 

@@ -29,6 +29,10 @@ val encoded_size : int
 val encode : Bytes.t -> int -> t -> int
 val decode : Bytes.t -> int -> t * int
 
+val is_nil_at : Bytes.t -> int -> bool
+(** [is_nil_at buf off] is [is_nil (fst (decode buf off))], without
+    allocating. *)
+
 val to_int64 : t -> int64
 val of_int64 : int64 -> t
 

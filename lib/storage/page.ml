@@ -26,13 +26,24 @@ let slot_count = get_n_slots
 let is_live page s =
   s >= 0 && s < get_n_slots page && get_off page s <> free_mark
 
-let live_count page =
+(* One pass over the directory: the bytes live records hold, how many
+   records are live, and the entry a new record takes — the first free
+   one, or [n_slots] when it must append a new entry. *)
+type dir = { used : int; live : int; first_free : int }
+
+let scan_dir page =
   let n = get_n_slots page in
-  let count = ref 0 in
-  for s = 0 to n - 1 do
-    if get_off page s <> free_mark then incr count
+  let used = ref 0 and live = ref 0 and first_free = ref n in
+  for s = n - 1 downto 0 do
+    if get_off page s = free_mark then first_free := s
+    else begin
+      used := !used + get_len page s;
+      incr live
+    end
   done;
-  !count
+  { used = !used; live = !live; first_free = !first_free }
+
+let live_count page = (scan_dir page).live
 
 (* Contiguous space between the data area and the directory, assuming
    [extra_slots] new directory entries will be appended. *)
@@ -41,28 +52,11 @@ let raw_gap page ~extra_slots =
   - (dir_entry_size * (get_n_slots page + extra_slots))
   - get_free_off page
 
-let used_bytes page =
-  let n = get_n_slots page in
-  let acc = ref 0 in
-  for s = 0 to n - 1 do
-    if get_off page s <> free_mark then acc := !acc + get_len page s
-  done;
-  !acc
+let free_space_of page d =
+  let dir_room = if d.first_free < get_n_slots page then 0 else dir_entry_size in
+  size page - header_size - (dir_entry_size * get_n_slots page) - dir_room - d.used
 
-let free_slot_available page =
-  let n = get_n_slots page in
-  let rec find s = if s >= n then None else if get_off page s = free_mark then Some s else find (s + 1) in
-  find 0
-
-let free_space page =
-  let dir_room =
-    match free_slot_available page with
-    | Some _ -> 0
-    | None -> dir_entry_size
-  in
-  let capacity = size page - header_size - (dir_entry_size * get_n_slots page) - dir_room in
-  capacity - used_bytes page
-
+let free_space page = free_space_of page (scan_dir page)
 let fits page len = len <= free_space page
 
 let compact page =
@@ -88,15 +82,14 @@ let ensure_gap page ~extra_slots need =
   if raw_gap page ~extra_slots < need then compact page;
   raw_gap page ~extra_slots >= need
 
-let insert page data =
+let insert ?(reserve = 0) page data =
   let len = Bytes.length data in
-  if not (fits page len) then None
+  let d = scan_dir page in
+  let room = free_space_of page d in
+  if len > room || (d.live > 0 && len + reserve > room) then None
   else begin
-    let slot, extra_slots =
-      match free_slot_available page with
-      | Some s -> (s, 0)
-      | None -> (get_n_slots page, 1)
-    in
+    let slot = d.first_free in
+    let extra_slots = if slot = get_n_slots page then 1 else 0 in
     let ok = ensure_gap page ~extra_slots len in
     assert ok;
     let off = get_free_off page in
@@ -111,9 +104,11 @@ let check_live page s =
   if not (is_live page s) then
     invalid_arg (Printf.sprintf "Page: dead slot %d" s)
 
-let read page s =
+let locate page s =
   check_live page s;
-  Bytes.sub page (get_off page s) (get_len page s)
+  get_off page s
+
+let read page s = Bytes.sub page (locate page s) (get_len page s)
 
 let read_length page s =
   check_live page s;
@@ -136,7 +131,10 @@ let write page s data =
   else begin
     (* Room check with the old copy logically removed; its directory entry is
        reused so no directory cost. *)
-    let available = size page - header_size - (dir_entry_size * get_n_slots page) - (used_bytes page - old_len) in
+    let available =
+      size page - header_size - (dir_entry_size * get_n_slots page)
+      - ((scan_dir page).used - old_len)
+    in
     if new_len > available then false
     else begin
       set_entry page s ~off:free_mark ~len:0;

@@ -30,16 +30,26 @@ val is_live : Bytes.t -> slot -> bool
 (** [is_live page s] is false for free or out-of-range slots. *)
 
 val free_space : Bytes.t -> int
-(** Bytes available for a new record, assuming its directory entry must be
-    newly allocated and after compaction. *)
+(** Bytes available for a new record after compaction, counting the
+    directory entry it needs: none when a free entry can be reused, 4
+    bytes otherwise.  One pass over the directory. *)
 
 val fits : Bytes.t -> int -> bool
 (** [fits page len] — would a record of [len] bytes fit (possibly after
     compaction)? *)
 
-val insert : Bytes.t -> Bytes.t -> slot option
-(** [insert page data] places a record, compacting if needed.  [None] when it
-    cannot fit. *)
+val insert : ?reserve:int -> Bytes.t -> Bytes.t -> slot option
+(** [insert page data] places a record in the first free directory entry
+    (appending one when none is free), compacting if needed.  [None] when
+    it cannot fit, or when it fits but would leave less than [reserve]
+    bytes (default 0) of {!free_space} on a page that already holds a live
+    record.  The room check and the slot choice share one directory
+    pass. *)
+
+val locate : Bytes.t -> slot -> int
+(** Offset of the record in [s] within the page: the record is the
+    [read_length page s] bytes from there, read in place without the copy
+    {!read} makes.  Raises [Invalid_argument] on a dead slot. *)
 
 val read : Bytes.t -> slot -> Bytes.t
 (** Copy of the record bytes.  Raises [Invalid_argument] on a dead slot. *)

@@ -30,9 +30,11 @@ let delete_file t id =
   Disk.delete_file t.disk id
 
 let page_count t id = Disk.page_count t.disk id
-let with_page_read t = Buffer_pool.with_page_read t.pool
-let with_page_write t = Buffer_pool.with_page_write t.pool
-let with_pin t = Buffer_pool.with_pin t.pool
+(* Eta-expanded: a partial application would allocate a closure per
+   page access. *)
+let with_page_read t ~file ~page f = Buffer_pool.with_page_read t.pool ~file ~page f
+let with_page_write t ~file ~page f = Buffer_pool.with_page_write t.pool ~file ~page f
+let with_pin t ~file ~page ~dirty f = Buffer_pool.with_pin t.pool ~file ~page ~dirty f
 let new_page t ~file = Buffer_pool.new_page t.pool ~file
 let flush t = Buffer_pool.flush t.pool
 let invalidate t ~file ~page = Buffer_pool.invalidate t.pool ~file ~page

@@ -14,6 +14,12 @@ module Ast = Fieldrep_query.Ast
 module Exec = Fieldrep_query.Exec
 module Lang = Fieldrep_query.Lang
 module Wgen = Fieldrep_workload.Gen
+module Record = Fieldrep_model.Record
+module Stats = Fieldrep_storage.Stats
+module Heap_file = Fieldrep_storage.Heap_file
+module Splitmix = Fieldrep_util.Splitmix
+module Key = Db.Key
+module Lock = Db.Lock
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -569,11 +575,321 @@ let test_delete_from_respects_replication_protection () =
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Slice projection                                                    *)
+
+(* A small Org <- Dept <- Emp1 database whose replication layout is
+   drawn at random.  [org_path] replicates Emp1.dept.org: 0 none, 1 name
+   in place, 2 name separate, 3 name in place with lazy propagation, 4
+   the whole object in place, 5 the whole object separate.  [dept_path]
+   replicates Emp1.dept.name: 0 none, 1 in place, 2 separate.  Without
+   [reserve] the replicate spills most Emp1 heads into chains.  Some
+   employees have no department and some departments no org, so there are
+   null S' references and records too short to hold the hidden fields;
+   updates after the replicate leave lazy invalidations pending. *)
+type shape = { seed : int; org_path : int; dept_path : int; reserve : bool }
+
+let shaped_db sh =
+  let rng = Splitmix.create sh.seed in
+  let db = Db.create ~page_size:1024 ~frames:64 () in
+  let field fname ftype = { Ty.fname; ftype } in
+  Db.define_type db
+    (Ty.make ~name:"ORG"
+       [ field "name" (Ty.Scalar Ty.SString); field "budget" (Ty.Scalar Ty.SInt) ]);
+  Db.define_type db
+    (Ty.make ~name:"DEPT" [ field "name" (Ty.Scalar Ty.SString); field "org" (Ty.Ref "ORG") ]);
+  Db.define_type db
+    (Ty.make ~name:"EMP"
+       [
+         field "name" (Ty.Scalar Ty.SString);
+         field "age" (Ty.Scalar Ty.SInt);
+         field "salary" (Ty.Scalar Ty.SInt);
+         field "dept" (Ty.Ref "DEPT");
+       ]);
+  Db.create_set db ~name:"Org" ~elem_type:"ORG" ();
+  Db.create_set db ~name:"Dept" ~elem_type:"DEPT" ();
+  Db.create_set db ~reserve:(if sh.reserve then 40 else 0) ~name:"Emp1" ~elem_type:"EMP" ();
+  let pick a = a.(Splitmix.int rng (Array.length a)) in
+  let orgs =
+    Array.init 4 (fun i ->
+        Db.insert db ~set:"Org"
+          [ Value.VString (Printf.sprintf "org-%d" i); Value.VInt (1000 * i) ])
+  in
+  let depts =
+    Array.init 8 (fun i ->
+        let org = if i = 7 then Value.VNull else Value.VRef (pick orgs) in
+        Db.insert db ~set:"Dept" [ Value.VString (Printf.sprintf "dept-%d" i); org ])
+  in
+  let emp i =
+    let dept = if Splitmix.int rng 8 = 0 then Value.VNull else Value.VRef (pick depts) in
+    ignore
+      (Db.insert db ~set:"Emp1"
+         [
+           Value.VString (Printf.sprintf "e%d%s" i (String.make (Splitmix.int rng 12) 'x'));
+           Value.VInt (20 + Splitmix.int rng 40);
+           Value.VInt (Splitmix.int rng 1000);
+           dept;
+         ])
+  in
+  for i = 0 to 59 do
+    emp i
+  done;
+  let replicate strategy ?(lazy_ = false) path =
+    let options = { Schema.default_options with Schema.lazy_propagation = lazy_ } in
+    Db.replicate db ~options ~strategy (Path.parse path)
+  in
+  (match sh.org_path with
+  | 1 -> replicate Schema.Inplace "Emp1.dept.org.name"
+  | 2 -> replicate Schema.Separate "Emp1.dept.org.name"
+  | 3 -> replicate Schema.Inplace ~lazy_:true "Emp1.dept.org.name"
+  | 4 -> replicate Schema.Inplace "Emp1.dept.org.all"
+  | 5 -> replicate Schema.Separate "Emp1.dept.org.all"
+  | _ -> ());
+  (match sh.dept_path with
+  | 1 -> replicate Schema.Inplace "Emp1.dept.name"
+  | 2 -> replicate Schema.Separate "Emp1.dept.name"
+  | _ -> ());
+  Db.build_index db ~name:"emp_salary" ~set:"Emp1" ~field:"salary" ~clustered:false;
+  for i = 60 to 69 do
+    emp i
+  done;
+  for i = 0 to 1 do
+    Db.update_field db ~set:"Org" orgs.(i) ~field:"name"
+      (Value.VString (Printf.sprintf "org-%d'" i));
+    Db.update_field db ~set:"Dept" (pick depts) ~field:"name"
+      (Value.VString (Printf.sprintf "d%d'" i))
+  done;
+  db
+
+let projection_pool =
+  [| "name"; "age"; "salary"; "dept"; "dept.name"; "dept.org"; "dept.org.name"; "dept.org.budget" |]
+
+let where_of k =
+  match k mod 4 with
+  | 0 -> None
+  | 1 -> Some (Ast.between "salary" (Value.VInt 200) (Value.VInt 700)) (* index scan *)
+  | 2 -> Some (Ast.between "age" (Value.VInt 30) (Value.VInt 45)) (* file scan *)
+  | _ -> Some (Ast.between "dept.org.name" (Value.VString "org-1") (Value.VString "org-3"))
+
+(* Today's retrieve on decoded records: select as the planner does,
+   evaluate every projection to a [Value.t] with [field_value] or
+   [deref_record ~oid], and encode the tuple.  The tuples also go into an
+   output file, so the I/O matches a retrieve's. *)
+let decoded_retrieve db (q : Ast.retrieve) =
+  let set = q.Ast.from_set in
+  let eval ~oid record expr =
+    if String.contains expr '.' then Db.deref_record ~oid db ~set record expr
+    else Db.field_value db ~set record expr
+  in
+  let out = Heap_file.create (Db.pager db) in
+  let tuples = ref [] in
+  let emit oid record =
+    let values = List.map (eval ~oid record) q.Ast.projections in
+    let tuple = Record.encode (Record.make ~type_tag:0 (Array.of_list values)) in
+    ignore (Heap_file.insert out tuple);
+    tuples := tuple :: !tuples
+  in
+  (match ((Exec.explain_retrieve db q).Exec.access, q.Ast.where) with
+  | Exec.Index_scan index, Some p ->
+      let key = function Value.VInt v -> Key.Int v | _ -> assert false in
+      let lo = key (Option.get p.Ast.lo) and hi = key (Option.get p.Ast.hi) in
+      Db.index_range db ~index ~lo ~hi ~init:[] ~f:(fun acc _ oid -> oid :: acc)
+      |> List.rev
+      |> List.iter (fun oid -> emit oid (Db.get db ~set oid))
+  | Exec.Index_scan _, None -> assert false
+  | Exec.File_scan, where ->
+      Db.scan db ~set (fun oid record ->
+          let keep =
+            match where with
+            | None -> true
+            | Some p -> (
+                let v = eval ~oid record p.Ast.pfield in
+                v <> Value.VNull
+                && (match p.Ast.lo with None -> true | Some lo -> Value.compare v lo >= 0)
+                && match p.Ast.hi with None -> true | Some hi -> Value.compare v hi <= 0)
+          in
+          if keep then emit oid record));
+  let pages = Heap_file.page_count out in
+  Pager.delete_file (Db.pager db) (Heap_file.file_id out);
+  (List.rev !tuples, pages)
+
+let output_tuples db (res : Exec.retrieve_result) =
+  let out = Heap_file.attach (Db.pager db) ~file:res.Exec.output_file in
+  let tuples = List.rev (Heap_file.fold out ~init:[] ~f:(fun acc _ bytes -> bytes :: acc)) in
+  Exec.drop_output db res.Exec.output_file;
+  tuples
+
+let accesses db =
+  let st = Db.stats db in
+  (st.Stats.buffer_hits + st.Stats.page_reads, st.Stats.degraded_reads)
+
+(* The slices a retrieve blits must give byte for byte the tuples the
+   decoded projection encodes, over the same page accesses.  Two copies
+   of one database are built, since lazy repairs write as they read. *)
+let slices_match_decoded ((seed, org_path, dept_path, reserve), (picks, where)) =
+  let sh = { seed; org_path; dept_path; reserve } in
+  let q =
+    {
+      Ast.from_set = "Emp1";
+      projections = List.map (fun i -> projection_pool.(i)) picks;
+      where = where_of where;
+    }
+  in
+  let sliced = shaped_db sh and decoded = shaped_db sh in
+  let io0 = accesses sliced and io0' = accesses decoded in
+  let res = Exec.retrieve sliced q in
+  let io1 = accesses sliced in
+  let expected, expected_pages = decoded_retrieve decoded q in
+  let io1' = accesses decoded in
+  let got = output_tuples sliced res in
+  if res.Exec.rows <> List.length expected then
+    QCheck.Test.fail_reportf "%d rows, decoded %d" res.Exec.rows (List.length expected);
+  List.iteri
+    (fun i (g, e) ->
+      if not (Bytes.equal g e) then
+        QCheck.Test.fail_reportf "row %d of %s: %S, decoded %S" i
+          (Format.asprintf "%a" Ast.pp_retrieve q)
+          (Bytes.to_string g) (Bytes.to_string e))
+    (List.combine got expected);
+  if res.Exec.output_pages <> expected_pages then
+    QCheck.Test.fail_reportf "%d output pages, decoded %d" res.Exec.output_pages expected_pages;
+  if (fst io1 - fst io0, snd io1 - snd io0) <> (fst io1' - fst io0', snd io1' - snd io0') then
+    QCheck.Test.fail_reportf "page accesses %d, decoded %d" (fst io1 - fst io0)
+      (fst io1' - fst io0');
+  true
+
+let slice_projection_arb =
+  let open QCheck in
+  pair
+    (quad (int_bound 10_000) (int_bound 5) (int_bound 2) bool)
+    (pair (list_of_size Gen.(1 -- 5) (int_bound (Array.length projection_pool - 1))) (int_bound 3))
+
+(* An S' object on a quarantined page: the slice path degrades to the
+   join exactly as deref does, once per read, and the tuple holds the
+   join's value. *)
+let test_slice_projection_quarantined_sprime () =
+  let db = shaped_db { seed = 5; org_path = 0; dept_path = 2; reserve = false } in
+  let target = ref None in
+  Db.scan db ~set:"Emp1" (fun oid record ->
+      match record.Record.values with
+      | [| name; _; _; Value.VRef dept; Value.VRef sp |] when !target = None ->
+          target := Some (oid, name, dept, sp)
+      | _ -> ());
+  let oid, name, dept, sp = Option.get !target in
+  let joined = Db.field_value db ~set:"Dept" (Db.get db ~set:"Dept" dept) "name" in
+  let pager = Db.pager db in
+  Pager.flush pager;
+  Disk.corrupt_page (Pager.disk pager) ~file:sp.Oid.file ~page:sp.Oid.page [ 40 ];
+  Pager.invalidate pager ~file:sp.Oid.file ~page:sp.Oid.page;
+  let q =
+    {
+      Ast.from_set = "Emp1";
+      projections = [ "name"; "dept.name" ];
+      where = Some (Ast.between "name" name name);
+    }
+  in
+  checkb "one row selected" true (Exec.matching_oids db ~set:"Emp1" q.Ast.where = [ oid ]);
+  let before = snd (accesses db) in
+  let res = Exec.retrieve db q in
+  checki "one degraded read" 1 (snd (accesses db) - before);
+  (match output_tuples db res with
+  | [ tuple ] ->
+      Alcotest.(check bytes) "tuple holds the join's value"
+        (Record.encode (Record.make ~type_tag:0 [| name; joined |]))
+        tuple
+  | tuples -> Alcotest.failf "%d tuples" (List.length tuples));
+  checkv "deref degrades the same way" joined (Db.deref db ~set:"Emp1" oid "dept.name");
+  checki "and counts it" 2 (snd (accesses db) - before)
+
+(* Under a transaction a projection takes the locks [deref_record] takes,
+   in the same order: the lock tables match, and against a writer holding
+   the S' owner both stop at the same lock with the same ones held. *)
+let test_slice_projection_locks () =
+  let sh = { seed = 9; org_path = 1; dept_path = 2; reserve = false } in
+  let sliced = shaped_db sh and decoded = shaped_db sh in
+  let dept_of o = Db.field_value sliced ~set:"Emp1" (Db.get sliced ~set:"Emp1" o) "dept" in
+  let oid =
+    List.find (fun o -> dept_of o <> Value.VNull) (Exec.matching_oids sliced ~set:"Emp1" None)
+  in
+  let dept = Value.as_ref (dept_of oid) in
+  let table db = Format.asprintf "%a" Lock.pp (Db.lock_manager db) in
+  let run_sliced tx expr =
+    let bytes = Db.get_encoded ~txn:tx sliced ~set:"Emp1" oid in
+    ignore (Db.project_slice ~txn:tx sliced ~oid bytes (Db.projection ~set:"Emp1" expr))
+  in
+  let run_decoded tx expr =
+    let record = Db.get ~txn:tx decoded ~set:"Emp1" oid in
+    ignore
+      (if String.contains expr '.' then Db.deref_record ~txn:tx ~oid decoded ~set:"Emp1" record expr
+       else Db.field_value decoded ~set:"Emp1" record expr)
+  in
+  let ta = Db.begin_txn sliced and tb = Db.begin_txn decoded in
+  Array.iter
+    (fun expr ->
+      run_sliced ta expr;
+      run_decoded tb expr;
+      Alcotest.(check string) ("locks after " ^ expr) (table decoded) (table sliced))
+    projection_pool;
+  Db.commit sliced ta;
+  Db.commit decoded tb;
+  let blocked db run =
+    Lock.acquire (Db.lock_manager db) ~txn:999_999 (Lock.Obj dept) Lock.X;
+    let tx = Db.begin_txn db in
+    (match run tx "dept.name" with
+    | () -> Alcotest.fail "expected Would_block on the S' owner"
+    | exception Lock.Would_block _ -> ());
+    Lock.held_count (Db.lock_manager db) ~txn:(Db.Txn.id tx)
+  in
+  checki "same locks held when blocked" (blocked decoded run_decoded) (blocked sliced run_sliced)
+
+(* An in-place deref reads the one hidden value from the record's bytes.
+   Over 31-field records, decoding one into its Value array costs about
+   600 words, so the bound — twice the measured 107 words per deref —
+   admits no full decode. *)
+let test_inplace_deref_allocation_bound () =
+  let db = Db.create ~page_size:4096 ~frames:256 () in
+  let field fname ftype = { Ty.fname; ftype } in
+  Db.define_type db (Ty.make ~name:"ORG" [ field "name" (Ty.Scalar Ty.SString) ]);
+  Db.define_type db
+    (Ty.make ~name:"DEPT" [ field "name" (Ty.Scalar Ty.SString); field "org" (Ty.Ref "ORG") ]);
+  let notes = List.init 30 (fun i -> field (Printf.sprintf "note%02d" i) (Ty.Scalar Ty.SString)) in
+  Db.define_type db (Ty.make ~name:"WIDE" (notes @ [ field "dept" (Ty.Ref "DEPT") ]));
+  Db.create_set db ~name:"Org" ~elem_type:"ORG" ();
+  Db.create_set db ~name:"Dept" ~elem_type:"DEPT" ();
+  Db.create_set db ~name:"Wide" ~elem_type:"WIDE" ();
+  let org = Db.insert db ~set:"Org" [ Value.VString "org-0" ] in
+  let dept = Db.insert db ~set:"Dept" [ Value.VString "dept-0"; Value.VRef org ] in
+  let oids =
+    Array.init 200 (fun i ->
+        Db.insert db ~set:"Wide"
+          (List.init 30 (fun j -> Value.VString (Printf.sprintf "n%d-%d" i j))
+          @ [ Value.VRef dept ]))
+  in
+  Db.replicate db ~strategy:Schema.Inplace (Path.parse "Wide.dept.org.name");
+  checki "no joins" 0 (Db.deref_would_join db ~set:"Wide" "dept.org.name");
+  let words_per n f =
+    let before = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      f i
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let per_deref =
+    words_per 2000 (fun i -> ignore (Db.deref db ~set:"Wide" oids.(i mod 200) "dept.org.name"))
+  in
+  let encoded = Record.encode (Db.get db ~set:"Wide" oids.(0)) in
+  let per_decode = words_per 200 (fun _ -> ignore (Record.decode encoded)) in
+  checkb "a full decode breaks the bound" true (per_decode > 214.);
+  if per_deref > 214. then
+    Alcotest.failf "an in-place Db.deref allocates %.0f words (bound 214)" per_deref
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"slice projection equals decoded projection" ~count:150
+      slice_projection_arb slices_match_decoded;
     Test.make ~name:"index scan equals file scan" ~count:20
       (pair (int_range 0 2000) (int_range 0 2000))
       (fun (a, b) ->
@@ -627,6 +943,12 @@ let () =
           Alcotest.test_case "failure drops output" `Quick test_retrieve_failure_drops_output;
           Alcotest.test_case "replication transparent" `Quick
             test_retrieve_same_result_with_and_without_replication;
+          Alcotest.test_case "slices around a quarantined S' page" `Quick
+            test_slice_projection_quarantined_sprime;
+          Alcotest.test_case "slice projection locks like deref_record" `Quick
+            test_slice_projection_locks;
+          Alcotest.test_case "in-place deref allocation bounded" `Quick
+            test_inplace_deref_allocation_bound;
         ] );
       ( "replace",
         [

@@ -9,6 +9,7 @@ module Buffer_pool = Fieldrep_storage.Buffer_pool
 module Pager = Fieldrep_storage.Pager
 module Heap_file = Fieldrep_storage.Heap_file
 module Splitmix = Fieldrep_util.Splitmix
+module Lockdep = Fieldrep_util.Lockdep
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -551,6 +552,83 @@ let test_heap_dead_oid_raises () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* A chained object is read segment by segment and assembled once; the
+   scans that only need kind bytes read them in place. *)
+let test_heap_chained_read_and_scans () =
+  let pager = mk_pager ~page_size:256 () in
+  let hf = Heap_file.create pager in
+  (* 59-byte records, four to a page with no room left, so every growth
+     spills into a continuation segment. *)
+  let oids = Array.init 12 (fun _ -> Heap_file.insert hf (Bytes.make 50 'a')) in
+  checki "chain-free" 0 (Heap_file.chained_count hf);
+  let grown i = Bytes.init (60 + i) (fun j -> Char.chr (97 + ((i + j) mod 26))) in
+  Array.iteri (fun i oid -> Heap_file.update hf oid (grown i)) oids;
+  checki "all chained" 12 (Heap_file.chained_count hf);
+  Array.iteri
+    (fun i oid -> Alcotest.(check bytes) "chained payload" (grown i) (Heap_file.read hf oid))
+    oids;
+  checki "scan sees heads only" 12 (Heap_file.fold hf ~init:0 ~f:(fun n _ _ -> n + 1));
+  checki "oids_on_page" 4 (List.length (Heap_file.oids_on_page hf ~page:0));
+  checkb "head exists" true (Heap_file.exists hf oids.(0));
+  checkb "segment is no object" false
+    (Heap_file.exists hf { (oids.(0)) with Oid.page = Heap_file.page_count hf - 1 });
+  Heap_file.delete_pinned hf oids.(1);
+  checkb "tombstone" true (Heap_file.is_tombstone hf oids.(1));
+  checkb "tombstone is no object" false (Heap_file.exists hf oids.(1));
+  checki "recount skips tombstones" 11
+    (Heap_file.recount hf;
+     Heap_file.object_count hf)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation on the warm read path                                    *)
+
+(* Words allocated per call of [f], averaged over [n] calls. *)
+let words_per n f =
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* A pin/unpin pair on a resident page is one frame-table lookup by an
+   int key and a few field updates.  Measured: 0 words per pair; with a
+   tuple-keyed table a pair cost 10 and a with_page_read, through
+   Fun.protect, 25.  The average runs over 10,000 pairs so the
+   measurement's own boxed floats round away.  The runtime lockdep
+   recorder allocates when armed, so it is disarmed here. *)
+let test_pin_unpin_allocates_nothing () =
+  let armed = Lockdep.enabled () in
+  Lockdep.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Lockdep.set_enabled armed)
+    (fun () ->
+      let disk = Disk.create ~page_size:64 (Stats.create ()) in
+      let pool = Buffer_pool.create disk ~frames:8 in
+      let f = Disk.create_file disk in
+      let pages = Array.init 4 (fun _ -> Buffer_pool.new_page pool ~file:f) in
+      let per_pair =
+        words_per 10_000 (fun i ->
+            let page = pages.(i land 3) in
+            ignore (Buffer_pool.pin pool ~file:f ~page ~dirty:false);
+            Buffer_pool.unpin pool ~file:f ~page)
+      in
+      if per_pair > 0.01 then
+        Alcotest.failf "a pin/unpin pair allocates %.2f words (bound 0)" per_pair)
+
+(* Reading a two-segment object allocates the 70-byte result (10 words),
+   the two pins' callbacks and the decoded OID of the second segment:
+   measured 38 words per read.  The bound is twice that.  Reading through
+   Page.read copies, Bytes.sub, a list and Bytes.concat cost 180. *)
+let test_chained_read_allocation_bound () =
+  let pager = mk_pager ~page_size:256 () in
+  let hf = Heap_file.create pager in
+  let oids = Array.init 40 (fun _ -> Heap_file.insert hf (Bytes.make 50 'a')) in
+  Array.iter (fun oid -> Heap_file.update hf oid (Bytes.make 70 'b')) oids;
+  checki "all chained" 40 (Heap_file.chained_count hf);
+  let per_read = words_per 4000 (fun i -> ignore (Heap_file.read hf oids.(i mod 40))) in
+  if per_read > 76. then
+    Alcotest.failf "a chained Heap_file.read allocates %.0f words (bound 76)" per_read
+
 (* ------------------------------------------------------------------ *)
 (* run_cold                                                            *)
 
@@ -852,6 +930,96 @@ let test_backend_of_env () =
 (* ------------------------------------------------------------------ *)
 (* Property-based tests                                                *)
 
+(* The slot directory against a list model: slot [i] of the model holds
+   the live record in directory entry [i], or [None] for a free entry.
+   After every step [free_space] and [live_count] must match the model's
+   arithmetic, every live record its bytes, and an insert must take the
+   slot — and make the reserve decision — the model predicts. *)
+let page_matches_model (size, ops) =
+  let page = Bytes.create size in
+  Page.init page;
+  let model = ref [] in
+  let live () = List.filter_map Fun.id !model in
+  let used () = List.fold_left (fun acc d -> acc + Bytes.length d) 0 (live ()) in
+  let n () = List.length !model in
+  let model_free () =
+    let dir_room = if List.mem None !model then 0 else Page.dir_entry_size in
+    size - Page.header_size - (Page.dir_entry_size * n ()) - dir_room - used ()
+  in
+  let first_free () =
+    let rec go i = function
+      | [] -> i
+      | None :: _ -> i
+      | Some _ :: rest -> go (i + 1) rest
+    in
+    go 0 !model
+  in
+  let set i v = model := List.mapi (fun j d -> if j = i then v else d) !model in
+  let live_slots () =
+    List.concat (List.mapi (fun i d -> if d = None then [] else [ i ]) !model)
+  in
+  let nth_live k =
+    match live_slots () with [] -> None | l -> Some (List.nth l (k mod List.length l))
+  in
+  let step_no = ref 0 in
+  let fail fmt = QCheck.Test.fail_reportf ("step %d: " ^^ fmt) !step_no in
+  List.iter
+    (fun (op, len, arg) ->
+      incr step_no;
+      let data = Bytes.make len (Char.chr (65 + (!step_no mod 26))) in
+      (match op with
+      | 0 | 1 ->
+          (* insert, with a reserve on every other op *)
+          let reserve = if op = 1 then arg else 0 in
+          let free = model_free () in
+          let expect =
+            if len > free || (live () <> [] && len + reserve > free) then None
+            else Some (first_free ())
+          in
+          let got = Page.insert ~reserve page data in
+          if got <> expect then
+            fail "insert %d (reserve %d) took %s, model %s" len reserve
+              (match got with Some s -> string_of_int s | None -> "none")
+              (match expect with Some s -> string_of_int s | None -> "none");
+          (match got with
+          | Some s when s = n () -> model := !model @ [ Some data ]
+          | Some s -> set s (Some data)
+          | None -> ())
+      | 2 -> (
+          match nth_live arg with
+          | Some s ->
+              Page.delete page s;
+              set s None
+          | None -> ())
+      | 3 -> (
+          match nth_live arg with
+          | Some s ->
+              let old = Bytes.length (Option.get (List.nth !model s)) in
+              let room =
+                size - Page.header_size - (Page.dir_entry_size * n ()) - (used () - old)
+              in
+              let expect = len <= old || len <= room in
+              let got = Page.write page s data in
+              if got <> expect then fail "write %d over %d: %b, model %b" len old got expect;
+              if got then set s (Some data)
+          | None -> ())
+      | _ -> Page.compact page);
+      if Page.free_space page <> model_free () then
+        fail "free_space %d, model %d" (Page.free_space page) (model_free ());
+      if Page.live_count page <> List.length (live ()) then
+        fail "live_count %d, model %d" (Page.live_count page) (List.length (live ()));
+      if Page.slot_count page <> n () then
+        fail "slot_count %d, model %d" (Page.slot_count page) (n ());
+      List.iteri
+        (fun i d ->
+          match d with
+          | Some d when not (Bytes.equal (Page.read page i) d) -> fail "slot %d bytes differ" i
+          | Some _ -> ()
+          | None -> if Page.is_live page i then fail "slot %d should be free" i)
+        !model)
+    ops;
+  true
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -899,6 +1067,10 @@ let qcheck_tests =
             if not (Bytes.equal (Heap_file.read hf oid) payload) then ok := false)
           !live;
         !ok && Heap_file.object_count hf = List.length !live);
+    Test.make ~name:"page directory matches a list model" ~count:200
+      (pair (int_range 64 320)
+         (list_of_size Gen.(1 -- 80) (triple (int_range 0 4) (int_range 0 90) (int_range 0 60))))
+      page_matches_model;
     Test.make ~name:"page never corrupts neighbours" ~count:100
       (list_of_size Gen.(1 -- 40) (int_range 1 60))
       (fun sizes ->
@@ -980,6 +1152,15 @@ let () =
           Alcotest.test_case "delete then scan" `Quick test_heap_delete_then_scan;
           Alcotest.test_case "attach recovers" `Quick test_heap_attach_recovers;
           Alcotest.test_case "dead oid raises" `Quick test_heap_dead_oid_raises;
+          Alcotest.test_case "chained read and in-place scans" `Quick
+            test_heap_chained_read_and_scans;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "pin/unpin pair allocates nothing" `Quick
+            test_pin_unpin_allocates_nothing;
+          Alcotest.test_case "chained read allocation bounded" `Quick
+            test_chained_read_allocation_bound;
         ] );
       ( "cold runs",
         [ Alcotest.test_case "distinct pages counted once" `Quick test_run_cold_measures_distinct_pages ] );
