@@ -13,6 +13,7 @@ module Db = Fieldrep.Db
 module Oid = Fieldrep_storage.Oid
 module Pager = Fieldrep_storage.Pager
 module Stats = Fieldrep_storage.Stats
+module Checksum = Fieldrep_storage.Checksum
 module Heap_file = Fieldrep_storage.Heap_file
 module Btree = Fieldrep_btree.Btree
 module Key = Fieldrep_btree.Key
@@ -747,6 +748,14 @@ let micro () =
              ignore (Btree.delete tree (Key.Int old) (oid old));
              Btree.insert tree (Key.Int !next) (oid !next);
              incr next));
+      (* Every physical page read verifies and every write stamps one of
+         these; WAL frames and replication envelopes use FNV-1a. *)
+      Test.make ~name:"page checksum 4 KiB"
+        (let page = Bytes.init 4096 (fun i -> Char.chr ((i * 7) land 0xff)) in
+         Staged.stage (fun () -> ignore (Sys.opaque_identity (Checksum.page page 0 4096))));
+      Test.make ~name:"fnv1a32 300 B frame"
+        (let frame = Bytes.init 300 (fun i -> Char.chr ((i * 31) land 0xff)) in
+         Staged.stage (fun () -> ignore (Sys.opaque_identity (Checksum.fnv1a32 frame 0 300))));
       Test.make ~name:"insert employee"
         (let fresh = Gen.employee_db ~norgs:4 ~ndepts:30 ~nemps:100 ~seed:71 () in
          Db.replicate fresh ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");

@@ -13,8 +13,9 @@
      [Unix] seek/read/write.  Each on-disk page slot is [page_size + 8]
      bytes: the page image followed by an 8-byte checksum trailer (the
      "spare bytes of a 520-byte sector" the mem backend models with its
-     [sums] array).  A torn write is a partial [write] of the first half
-     of the slot that never touches the trailer — exactly the failure a
+     [sums] array).  A page and its trailer land with one [write] of the
+     whole slot.  A torn write is a partial [write] of the first half of
+     the slot that never reaches the trailer — exactly the failure a
      checksummed store detects on the next read. *)
 
 module type S = sig
@@ -30,18 +31,21 @@ module type S = sig
   val page_count : t -> id:int -> int
 
   val grow : t -> id:int -> unit
-  (** Append one zeroed page.  The caller seals it with {!write_sum}. *)
+  (** Append one zeroed page.  The caller seals it with {!write}. *)
 
   val read : t -> file:int -> page:int -> Bytes.t -> unit
   (** Fill the caller's page-sized buffer from the stored page. *)
 
-  val write : t -> file:int -> page:int -> len:int -> Bytes.t -> unit
+  val write : t -> file:int -> page:int -> sum:int -> Bytes.t -> unit
+  (** Land the whole page-sized buffer and [sum] as its checksum
+      trailer. *)
+
+  val write_raw : t -> file:int -> page:int -> len:int -> Bytes.t -> unit
   (** Land the first [len] bytes of the buffer on the stored page,
-      leaving bytes past [len] — and the checksum trailer — untouched.
-      [len = page_size] is a full write; anything less is torn. *)
+      leaving bytes past [len] — and the checksum trailer — untouched:
+      a torn write, or injected corruption. *)
 
   val read_sum : t -> file:int -> page:int -> int
-  val write_sum : t -> file:int -> page:int -> sum:int -> unit
 
   val close : t -> unit
   (** Release OS resources (idempotent).  [Mem] is a no-op; [File]
@@ -93,9 +97,14 @@ module Mem = struct
     f.count <- f.count + 1
 
   let read t ~file ~page buf = Bytes.blit (find t file).pages.(page) 0 buf 0 t.page_size
-  let write t ~file ~page ~len buf = Bytes.blit buf 0 (find t file).pages.(page) 0 len
+
+  let write t ~file ~page ~sum buf =
+    let f = find t file in
+    Bytes.blit buf 0 f.pages.(page) 0 t.page_size;
+    f.sums.(page) <- sum
+
+  let write_raw t ~file ~page ~len buf = Bytes.blit buf 0 (find t file).pages.(page) 0 len
   let read_sum t ~file ~page = (find t file).sums.(page)
-  let write_sum t ~file ~page ~sum = (find t file).sums.(page) <- sum
   let close _ = ()
 end
 
@@ -200,7 +209,7 @@ module File = struct
     page_size : int;
     slot : int;  (* page_size + 8-byte checksum trailer *)
     files : (int, meta) Hashtbl.t;
-    trailer : Bytes.t;  (* 8-byte staging buffer for trailer writes *)
+    staging : Bytes.t;  (* one slot: page image + LE trailer, one write *)
     mutable closed : bool;
   }
 
@@ -229,7 +238,7 @@ module File = struct
       page_size;
       slot = page_size + 8;
       files = Hashtbl.create 16;
-      trailer = Bytes.create 8;
+      staging = Bytes.create (page_size + 8);
       closed = false;
     }
 
@@ -284,7 +293,7 @@ module File = struct
       Array.blit m.sums 0 sums 0 m.count;
       m.sums <- sums
     end;
-    (* No syscall: the new slot is a sparse hole that reads as zeros. *)
+    (* No syscall: the caller's [write] lands the slot. *)
     m.count <- m.count + 1
 
   let read t ~file ~page buf =
@@ -293,21 +302,22 @@ module File = struct
     seek fd (page * t.slot);
     really_read fd buf 0 t.page_size
 
-  let write t ~file ~page ~len buf =
+  let write t ~file ~page ~sum buf =
+    let m = find t file in
+    Bytes.blit buf 0 t.staging 0 t.page_size;
+    Bytes.set_int64_le t.staging t.page_size (Int64.of_int sum);
+    let fd = fd t file in
+    seek fd (page * t.slot);
+    really_write fd t.staging 0 t.slot;
+    m.sums.(page) <- sum
+
+  let write_raw t ~file ~page ~len buf =
     ignore (find t file);
     let fd = fd t file in
     seek fd (page * t.slot);
     really_write fd buf 0 len
 
   let read_sum t ~file ~page = (find t file).sums.(page)
-
-  let write_sum t ~file ~page ~sum =
-    let m = find t file in
-    m.sums.(page) <- sum;
-    Bytes.set_int64_le t.trailer 0 (Int64.of_int sum);
-    let fd = fd t file in
-    seek fd ((page * t.slot) + t.page_size);
-    really_write fd t.trailer 0 8
 
   let close t =
     if not t.closed then begin

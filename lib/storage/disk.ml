@@ -5,10 +5,11 @@ exception Corrupt_page of { file : int; page : int }
 (* Each page carries a checksum trailer kept out of the page image —
    conceptually the 8 spare bytes of a 520-byte sector — so the
    slotted-page layout (whose directory grows down from the page end) and
-   the cost model's page capacity are untouched.  Where the trailer
-   physically lives is the backend's business (an int array for [Mem], 8
-   real bytes per slot for [File]); verification, quarantine and fault
-   injection all stay here, shared by every backend. *)
+   the cost model's page capacity are untouched.  The trailer holds
+   [Checksum.page] of the image, all 63 bits.  Where it physically lives is
+   the backend's business (an int array for [Mem], 8 real bytes per slot
+   for [File]); verification, quarantine and fault injection all stay here,
+   shared by every backend. *)
 
 type backend_kind = Mem | File of string option
 
@@ -54,7 +55,7 @@ let create ?(page_size = 4096) ?backend stats =
   in
   {
     page_size;
-    zero_sum = Checksum.fnv1a32 (Bytes.make page_size '\000') 0 page_size;
+    zero_sum = Checksum.page (Bytes.make page_size '\000') 0 page_size;
     stats;
     backend;
     backend_name;
@@ -68,7 +69,7 @@ let create ?(page_size = 4096) ?backend stats =
 let page_size t = t.page_size
 let stats t = t.stats
 let backend_name t = t.backend_name
-let sum_of t bytes = Checksum.fnv1a32 bytes 0 t.page_size
+let sum_of t bytes = Checksum.page bytes 0 t.page_size
 
 let close t =
   let (P ((module B), b)) = t.backend in
@@ -109,7 +110,8 @@ let allocate_page t id =
   let (P ((module B), b)) = t.backend in
   let page_no = B.page_count b ~id in
   B.grow b ~id;
-  B.write_sum b ~file:id ~page:page_no ~sum:t.zero_sum;
+  Bytes.fill t.scratch 0 t.page_size '\000';
+  B.write b ~file:id ~page:page_no ~sum:t.zero_sum t.scratch;
   Stats.bump t.stats Stats.Pages_allocated;
   page_no
 
@@ -158,7 +160,7 @@ let corrupt_page t ~file ~page offsets =
         invalid_arg "Disk.corrupt_page: offset out of range";
       Bytes.set t.scratch off (Char.chr (Char.code (Bytes.get t.scratch off) lxor 0xff)))
     offsets;
-  B.write b ~file ~page ~len:t.page_size t.scratch
+  B.write_raw b ~file ~page ~len:t.page_size t.scratch
 (* the stored checksum is deliberately left stale: that is the corruption *)
 
 let tear_page t ~file ~page =
@@ -166,7 +168,7 @@ let tear_page t ~file ~page =
   let (P ((module B), b)) = t.backend in
   B.read b ~file ~page t.scratch;
   Bytes.fill t.scratch (t.page_size / 2) (t.page_size - (t.page_size / 2)) '\000';
-  B.write b ~file ~page ~len:t.page_size t.scratch
+  B.write_raw b ~file ~page ~len:t.page_size t.scratch
 
 let verify_page t ~file ~page =
   check t ~op:"verify_page" ~file page;
@@ -215,7 +217,7 @@ let write_page t ~file ~page buf =
       (* A torn write lands half the buffer but never the trailer update, so
          the page fails verification on the next read — exactly how a real
          checksummed store detects torn data pages. *)
-      if fp.torn then B.write b ~file ~page ~len:(t.page_size / 2) buf;
+      if fp.torn then B.write_raw b ~file ~page ~len:(t.page_size / 2) buf;
       fp.fires <- fp.fires - 1;
       if fp.fires <= 0 then t.failpoint <- None;
       raise
@@ -225,8 +227,7 @@ let write_page t ~file ~page buf =
               (if fp.torn then " (torn)" else "")))
   | Some fp -> fp.remaining <- fp.remaining - 1
   | None -> ());
-  B.write b ~file ~page ~len:t.page_size buf;
-  B.write_sum b ~file ~page ~sum:(sum_of t buf);
+  B.write b ~file ~page ~sum:(sum_of t buf) buf;
   (* rewriting a page with fresh, checksummed content lifts its quarantine *)
   clear_quarantine t ~file ~page;
   Stats.bump t.stats Stats.Page_writes;
@@ -247,8 +248,7 @@ let restore_file t ~id pages =
   Array.iteri
     (fun page p ->
       B.grow b ~id;
-      B.write b ~file:id ~page ~len:t.page_size p;
-      B.write_sum b ~file:id ~page ~sum:(sum_of t p))
+      B.write b ~file:id ~page ~sum:(sum_of t p) p)
     pages;
   if id >= t.next_file then t.next_file <- id + 1
 

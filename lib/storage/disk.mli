@@ -10,12 +10,12 @@
     experiments measure.  All access goes through the buffer pool in
     normal operation.
 
-    Each page carries an FNV-1a checksum trailer (stored out of band, like
+    Each page carries a {!Checksum.page} trailer (stored out of band, like
     the spare bytes of a 520-byte sector, so the slotted-page layout and the
     cost model's page capacity are untouched; the file backend stores the
-    trailer as 8 real bytes after each page slot).  [write_page] seals the
-    page; [read_page] verifies it and raises {!Corrupt_page} instead of
-    returning garbage. *)
+    trailer as 8 real bytes after each page and writes both with one
+    [write]).  [write_page] seals the page; [read_page] verifies it and
+    raises {!Corrupt_page} instead of returning garbage. *)
 
 type t
 

@@ -353,8 +353,9 @@ let encode_body record =
 let decode_body kind buf off =
   try get_body kind buf off with Invalid_argument msg -> raise (Wire.Corrupt msg)
 
-(* FNV-1a, 32-bit: cheap, dependency-free, catches torn frames.  The same
-   function seals disk pages (see [Fieldrep_storage.Disk]). *)
+(* FNV-1a, 32-bit: cheap, dependency-free, catches torn frames.  Disk
+   pages use [Checksum.page] instead, a word-at-a-time function sized for
+   fixed 4 KiB images. *)
 let crc = Fieldrep_storage.Checksum.fnv1a32
 
 (* ------------------------------------------------------------------ *)

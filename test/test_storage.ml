@@ -8,6 +8,7 @@ module Disk = Fieldrep_storage.Disk
 module Buffer_pool = Fieldrep_storage.Buffer_pool
 module Pager = Fieldrep_storage.Pager
 module Heap_file = Fieldrep_storage.Heap_file
+module Checksum = Fieldrep_storage.Checksum
 module Splitmix = Fieldrep_util.Splitmix
 module Lockdep = Fieldrep_util.Lockdep
 
@@ -645,6 +646,132 @@ let test_run_cold_measures_distinct_pages () =
   checki "no writes for read-only work" 0 (Pager.stats pager).Stats.page_writes
 
 (* ------------------------------------------------------------------ *)
+(* Checksums                                                           *)
+
+(* CI runs the fault matrix under several seeds; the random pages and
+   corruptions below shift with it. *)
+let test_seed =
+  match Sys.getenv_opt "FIELDREP_TEST_SEED" with
+  | Some s -> ( try int_of_string s with _ -> 0)
+  | None -> 0
+
+let random_page rng size =
+  Bytes.init size (fun _ -> Char.chr (Random.State.int rng 256))
+
+let page_sum b = Checksum.page b 0 (Bytes.length b)
+
+(* Every single-bit flip of [page] changes its checksum. *)
+let check_bit_flips label page =
+  let base = page_sum page in
+  let missed = ref 0 in
+  for bit = 0 to (8 * Bytes.length page) - 1 do
+    let i = bit / 8 in
+    let flip () =
+      Bytes.set page i (Char.chr (Char.code (Bytes.get page i) lxor (1 lsl (bit mod 8))))
+    in
+    flip ();
+    if page_sum page = base then incr missed;
+    flip ()
+  done;
+  checki (label ^ ": undetected single-bit flips") 0 !missed
+
+(* The detection battery at one page size, through the Disk on the
+   backend FIELDREP_BACKEND selects: every single-bit flip, every
+   single-byte [corrupt_page] offset, [tear_page], and 10,000 random
+   multi-byte corruptions. *)
+let checksum_battery size () =
+  let rng = Random.State.make [| test_seed; size |] in
+  check_bit_flips "random page" (random_page rng size);
+  (* The zero page's sum differs from that of every one-bit page. *)
+  check_bit_flips "zero page" (Bytes.make size '\000');
+  let disk = Disk.create ~page_size:size (Stats.create ()) in
+  Fun.protect
+    ~finally:(fun () -> Disk.close disk)
+    (fun () ->
+      let f = Disk.create_file disk in
+      let p = Disk.allocate_page disk f in
+      checkb "fresh page verifies" true (Disk.verify_page disk ~file:f ~page:p);
+      Disk.write_page disk ~file:f ~page:p (random_page rng size);
+      let missed = ref 0 in
+      let corrupt offsets =
+        Disk.corrupt_page disk ~file:f ~page:p offsets;
+        if Disk.verify_page disk ~file:f ~page:p then incr missed;
+        (* XOR 0xff again: the page is back to what its trailer seals *)
+        Disk.corrupt_page disk ~file:f ~page:p offsets;
+        if not (Disk.verify_page disk ~file:f ~page:p) then
+          Alcotest.fail "undoing a corruption did not restore the page"
+      in
+      for off = 0 to size - 1 do
+        corrupt [ off ]
+      done;
+      checki "undetected single-byte corruptions" 0 !missed;
+      for _ = 1 to 10_000 do
+        let n = 2 + Random.State.int rng 7 in
+        let offsets = Hashtbl.create n in
+        while Hashtbl.length offsets < n do
+          Hashtbl.replace offsets (Random.State.int rng size) ()
+        done;
+        corrupt (Hashtbl.fold (fun o () acc -> o :: acc) offsets [])
+      done;
+      checki "undetected multi-byte corruptions" 0 !missed;
+      Disk.tear_page disk ~file:f ~page:p;
+      checkb "torn page fails verification" false (Disk.verify_page disk ~file:f ~page:p))
+
+(* [Db.create ~page_size] accepts any size, so the tails past the last
+   16-byte block (whole words, then 1-3 bytes) are held to the same
+   single-bit guarantee, and a page of such a size round-trips. *)
+let test_checksum_odd_sizes () =
+  let rng = Random.State.make [| test_seed |] in
+  List.iter
+    (fun size ->
+      let label = Printf.sprintf "size %d" size in
+      check_bit_flips label (random_page rng size);
+      check_bit_flips (label ^ " zero") (Bytes.make size '\000'))
+    [ 1; 2; 3; 4; 5; 7; 15; 17; 37; 250; 4099 ];
+  let disk = Disk.create ~page_size:250 (Stats.create ()) in
+  Fun.protect
+    ~finally:(fun () -> Disk.close disk)
+    (fun () ->
+      let f = Disk.create_file disk in
+      let p = Disk.allocate_page disk f in
+      let page = random_page rng 250 in
+      Disk.write_page disk ~file:f ~page:p page;
+      let out = Bytes.create 250 in
+      Disk.read_page disk ~file:f ~page:p out;
+      Alcotest.(check bytes) "round trip" page out;
+      Disk.corrupt_page disk ~file:f ~page:p [ 249 ];
+      checkb "last byte corruption detected" false (Disk.verify_page disk ~file:f ~page:p))
+
+let test_checksum_bounds () =
+  let b = Bytes.create 8 in
+  Alcotest.check_raises "negative offset"
+    (Invalid_argument "Checksum.page: slice -1+4 out of bounds (length 8)")
+    (fun () -> ignore (Checksum.page b (-1) 4));
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Checksum.page: slice 5+4 out of bounds (length 8)")
+    (fun () -> ignore (Checksum.page b 5 4));
+  Alcotest.check_raises "negative length"
+    (Invalid_argument "Checksum.page: slice 0+-1 out of bounds (length 8)")
+    (fun () -> ignore (Checksum.page b 0 (-1)));
+  Alcotest.check_raises "fnv1a32 names itself"
+    (Invalid_argument "Checksum.fnv1a32: slice 0+9 out of bounds (length 8)")
+    (fun () -> ignore (Checksum.fnv1a32 b 0 9));
+  checki "empty slice at the end" (Checksum.page Bytes.empty 0 0) (Checksum.page b 8 0)
+
+(* Pinned so a change to the function, which would make every stored
+   trailer stale, cannot go unnoticed. *)
+let test_checksum_golden () =
+  checki "zero page, 4 KiB" 0x46e39d36416de093 (page_sum (Bytes.make 4096 '\000'));
+  checki "pattern page, 4 KiB" 0x7694f61c8073dab1
+    (page_sum (Bytes.init 4096 (fun i -> Char.chr ((i * 7) land 0xff))))
+
+let test_checksum_allocates_nothing () =
+  let page = Bytes.make 4096 'p' in
+  let per_call = words_per 1_000 (fun _ -> ignore (Sys.opaque_identity (page_sum page))) in
+  if per_call > 0.01 then
+    Alcotest.failf "Checksum.page allocates %.2f words per call (bound 0)" per_call
+
+(* ------------------------------------------------------------------ *)
 (* Backend conformance                                                 *)
 
 (* The same scenario battery runs against every backend: the in-memory
@@ -879,7 +1006,8 @@ let test_file_fd_cache_eviction () =
           Alcotest.(check bytes) "survives fd eviction" (page_of i 'f') out)
         files)
 
-let test_file_explicit_dir () =
+(* A fresh caller-owned directory, removed with its files afterwards. *)
+let with_dir f =
   let dir = Filename.temp_file "fieldrep-test" ".d" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
@@ -887,7 +1015,10 @@ let test_file_explicit_dir () =
     ~finally:(fun () ->
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir)
-    (fun () ->
+    (fun () -> f dir)
+
+let test_file_explicit_dir () =
+  with_dir (fun dir ->
       let stats = Stats.create () in
       let disk = Disk.create ~page_size:psize ~backend:(Disk.File (Some dir)) stats in
       Alcotest.(check string) "backend name" "file" (Disk.backend_name disk);
@@ -908,6 +1039,65 @@ let test_file_explicit_dir () =
       Disk.close disk;
       Disk.close disk;
       checkb "caller-owned dir survives close" true (Sys.file_exists dir))
+
+(* The file format is self-contained: each slot holds the page image and
+   then its checksum as 8 little-endian bytes, landed by one write.  A torn
+   write lands half the page and never the trailer, so the slot keeps the
+   old trailer and fails verification. *)
+let test_file_slot_bytes () =
+  with_dir (fun dir ->
+      let slot_of path page =
+        let ic = open_in_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () ->
+            seek_in ic (page * (psize + 8));
+            Bytes.of_string (really_input_string ic (psize + 8)))
+      in
+      let le sum =
+        let b = Bytes.create 8 in
+        Bytes.set_int64_le b 0 (Int64.of_int sum);
+        b
+      in
+      let check_slot label path page image trailer =
+        Alcotest.(check bytes) label (Bytes.cat image trailer) (slot_of path page)
+      in
+      (* The backend: the trailer is the in-memory sum, byte for byte. *)
+      let module F = Fieldrep_storage.Backend.File in
+      let b = F.create ~page_size:psize ~dir () in
+      F.create_file b ~id:7;
+      F.grow b ~id:7;
+      F.grow b ~id:7;
+      let img = page_of 3 'x' in
+      F.write b ~file:7 ~page:1 ~sum:(Checksum.page img 0 psize) img;
+      check_slot "backend slot" (Filename.concat dir "000007.fdb") 1 img
+        (le (F.read_sum b ~file:7 ~page:1));
+      F.close b;
+      (* The disk: allocation seals a zero slot, a write reseals it, and a
+         torn write leaves the old trailer behind. *)
+      let disk = Disk.create ~page_size:psize ~backend:(Disk.File (Some dir)) (Stats.create ()) in
+      Fun.protect
+        ~finally:(fun () -> Disk.close disk)
+        (fun () ->
+          let f = Disk.create_file disk in
+          let path = Filename.concat dir (Printf.sprintf "%06d.fdb" f) in
+          let p = Disk.allocate_page disk f in
+          let zero = Bytes.make psize '\000' in
+          check_slot "allocated slot" path p zero (le (Checksum.page zero 0 psize));
+          let old_img = page_of 1 'a' in
+          Disk.write_page disk ~file:f ~page:p old_img;
+          check_slot "written slot" path p old_img (le (Checksum.page old_img 0 psize));
+          let new_img = page_of 2 'b' in
+          Disk.set_failpoint ~torn:true disk ~after_writes:0;
+          (try
+             Disk.write_page disk ~file:f ~page:p new_img;
+             Alcotest.fail "expected Crash"
+           with Disk.Crash _ -> ());
+          let half = psize / 2 in
+          let torn = Bytes.cat (Bytes.sub new_img 0 half) (Bytes.sub old_img half (psize - half)) in
+          check_slot "torn slot keeps the old trailer" path p torn
+            (le (Checksum.page old_img 0 psize));
+          checkb "torn slot fails verification" false (Disk.verify_page disk ~file:f ~page:p)))
 
 let test_backend_of_env () =
   let original = Sys.getenv_opt "FIELDREP_BACKEND" in
@@ -1023,6 +1213,24 @@ let page_matches_model (size, ops) =
 let qcheck_tests =
   let open QCheck in
   [
+    (* FNV-1a as specified: one byte at a time, truncated to 32 bits after
+       every multiply. *)
+    Test.make ~name:"fnv1a32 equals a byte-at-a-time reference" ~count:300
+      (quad (int_range 0 5000) (int_range 0 64) (int_range 0 64) int)
+      (fun (len, off, tail, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let bytes = random_page rng (off + len + tail) in
+        let h = ref 0x811c9dc5 in
+        for i = off to off + len - 1 do
+          h := (!h lxor Char.code (Bytes.get bytes i)) * 0x01000193 land 0xffffffff
+        done;
+        Checksum.fnv1a32 bytes off len = !h);
+    Test.make ~name:"page checksum depends only on the slice" ~count:300
+      (quad (int_range 0 5000) (int_range 0 64) (int_range 0 64) int)
+      (fun (len, off, tail, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let bytes = random_page rng (off + len + tail) in
+        Checksum.page bytes off len = page_sum (Bytes.sub bytes off len));
     Test.make ~name:"heap model conformance" ~count:60
       (list_of_size Gen.(1 -- 120) (pair (int_range 0 3) (int_range 1 600)))
       (fun ops ->
@@ -1162,6 +1370,16 @@ let () =
           Alcotest.test_case "chained read allocation bounded" `Quick
             test_chained_read_allocation_bound;
         ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "detection battery, 256-byte pages" `Quick (checksum_battery 256);
+          Alcotest.test_case "detection battery, 4 KiB pages" `Quick (checksum_battery 4096);
+          Alcotest.test_case "page sizes not a multiple of 16" `Quick test_checksum_odd_sizes;
+          Alcotest.test_case "out-of-range slices named" `Quick test_checksum_bounds;
+          Alcotest.test_case "golden values" `Quick test_checksum_golden;
+          Alcotest.test_case "page checksum allocates nothing" `Quick
+            test_checksum_allocates_nothing;
+        ] );
       ( "cold runs",
         [ Alcotest.test_case "distinct pages counted once" `Quick test_run_cold_measures_distinct_pages ] );
       ("backend conformance: mem", conformance Disk.Mem);
@@ -1170,6 +1388,7 @@ let () =
         [
           Alcotest.test_case "fd cache eviction" `Quick test_file_fd_cache_eviction;
           Alcotest.test_case "explicit directory" `Quick test_file_explicit_dir;
+          Alcotest.test_case "slot holds page and trailer" `Quick test_file_slot_bytes;
           Alcotest.test_case "FIELDREP_BACKEND selection" `Quick test_backend_of_env;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
