@@ -320,7 +320,7 @@ let enqueue_backfill t (rep : Schema.replication) =
         let record = Record.decode (Heap_file.read hf oid) in
         List.map
           (fun o -> (set_of_oid t o, o))
-          (Engine.write_set_attach t.engine ~set record))
+          (Engine.write_set_attach (Engine.walk t.engine ~set record)))
       ~log_step:(fun ~upto ->
         log_maint t (Wal.Maint_step { job = rep.Schema.rep_id; upto }))
       ~process:(fun oid -> Engine.backfill_source t.engine rep oid)
@@ -338,9 +338,11 @@ let enqueue_teardown t (rep : Schema.replication) =
       ~label:(Printf.sprintf "teardown %s" (Path.to_string rep.Schema.rpath))
       ~job_id:rep.Schema.rep_id ~owner:(fresh_owner t) ~set ~file:hf
       ~write_targets:(fun oid ->
+        let record = Record.decode (Heap_file.read hf oid) in
         List.map
           (fun o -> (set_of_oid t o, o))
-          (Engine.write_set_delete t.engine ~set oid))
+          (Engine.write_set_delete t.engine ~set record
+             (Engine.walk t.engine ~set record)))
       ~log_step:(fun ~upto ->
         log_maint t (Wal.Maint_step { job = rep.Schema.rep_id; upto }))
       ~process:(fun oid -> Engine.teardown_source t.engine rep oid)
@@ -544,14 +546,17 @@ let check_value t ~context (field : Ty.field) v =
    surfaces with no partial effects and the operation can simply be
    retried (or the transaction aborted).  Compensations and log replay
    run lock-free: rollback only ever touches objects the transaction
-   already holds exclusively, and replay is single-threaded. *)
-let locking t txn k =
+   already holds exclusively, and replay is single-threaded.  [locked]
+   answers [None] on the lock-free paths. *)
+let locked t txn k =
   match txn with
   | Some tx when not (t.compensating || t.replaying) ->
       if not (Txn.is_active tx && Hashtbl.mem t.active (Txn.id tx)) then
         invalid_arg "Db: transaction is not active";
-      k tx
-  | _ -> ()
+      Some (k tx)
+  | _ -> None
+
+let locking t txn k = ignore (locked t txn k)
 
 let lock t tx resource mode = Lock.acquire t.locks ~txn:(Txn.id tx) resource mode
 
@@ -585,32 +590,30 @@ let with_charge t txn f =
           r)
   | _ -> f ()
 
+let user_values t ~set (record : Record.t) =
+  let n = Ty.arity (Schema.set_type t.schema set) in
+  List.init n (fun i -> value_at record i)
+
 (* Capture the object's before-image the first time this transaction
    touches it, and log it ahead of the operation's redo record so crash
-   recovery can roll the transaction back from the log alone. *)
-let capture_undo t txn ~set oid ~present =
+   recovery can roll the transaction back from the log alone.  [before] is
+   the object's stored record, or [None] when the operation creates it
+   (undo then deletes it). *)
+let capture_undo t txn ~set oid before =
   match txn with
-  | None -> ()
-  | Some tx ->
-      if (not (t.compensating || t.replaying)) && not (Txn.touched tx ~set oid)
-      then begin
-        let values =
-          if not present then []
-          else
-            let record = Record.decode (Heap_file.read (set_file t set) oid) in
-            let n = Ty.arity (Schema.set_type t.schema set) in
-            List.init n (fun i -> value_at record i)
-        in
-        ensure_begin t tx;
-        (match t.wal with
-        | Some w ->
-            ignore
-              (Wal.append w
-                 (Wal.Undo_image { txn = Txn.id tx; set; oid; present; values }))
-        | None -> ());
-        Txn.record_touch tx ~set oid
-          { Txn.u_set = set; u_oid = oid; u_present = present; u_values = values }
-      end
+  | Some tx when not (t.compensating || t.replaying) ->
+      Txn.record_touch tx ~set oid (fun () ->
+          let present = Option.is_some before in
+          let values = Option.fold ~none:[] ~some:(user_values t ~set) before in
+          ensure_begin t tx;
+          (match t.wal with
+          | Some w ->
+              ignore
+                (Wal.append w
+                   (Wal.Undo_image { txn = Txn.id tx; set; oid; present; values }))
+          | None -> ());
+          { Txn.u_set = set; u_oid = oid; u_present = present; u_values = values })
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* DML                                                                 *)
@@ -629,26 +632,31 @@ let insert ?txn t ~set values =
   (* The OID is not logged: physical allocation is deterministic, so the
      replayed insert lands on the same OID as the original run. *)
   with_charge t txn (fun () ->
-      locking t txn (fun tx ->
-          lock t tx (Lock.Set set) Lock.IX;
-          (* referenced objects stay shared-locked so validation cannot be
-             invalidated by a concurrent committed delete *)
-          List.iter
-            (function
-              | Value.VRef o -> lock_read t tx ~set:(set_of_oid t o) o
-              | Value.VInt _ | Value.VString _ | Value.VNull -> ())
-            values;
-          lock_targets t tx (Engine.write_set_attach t.engine ~set record));
+      let walk =
+        locked t txn (fun tx ->
+            lock t tx (Lock.Set set) Lock.IX;
+            (* referenced objects stay shared-locked so validation cannot be
+               invalidated by a concurrent committed delete *)
+            List.iter
+              (function
+                | Value.VRef o -> lock_read t tx ~set:(set_of_oid t o) o
+                | Value.VInt _ | Value.VString _ | Value.VNull -> ())
+              values;
+            (* execution reuses the walk: nothing runs in between *)
+            let walk = Engine.walk t.engine ~set record in
+            lock_targets t tx (Engine.write_set_attach walk);
+            walk)
+      in
       let oid =
         log_mutation ?txn t (Wal.Insert { set; values }) (fun () ->
             let oid = Heap_file.insert (set_file t set) (Record.encode record) in
             List.iter (fun rt -> index_insert rt oid record) (indexes_of_set t set);
-            Engine.on_insert t.engine ~set oid;
+            Engine.on_insert t.engine ~set ?walk oid record;
             oid)
       in
       locking t txn (fun tx -> Lock.grant t.locks ~txn:(Txn.id tx) (Lock.Obj oid) Lock.X);
       (* first touch is the creation itself: undo deletes the object *)
-      capture_undo t txn ~set oid ~present:false;
+      capture_undo t txn ~set oid None;
       oid)
 
 (* Re-create an object in its original slot: the second half of undoing a
@@ -663,7 +671,7 @@ let insert_at_impl t ~set oid values =
       in
       Heap_file.insert_at (set_file t set) oid (Record.encode record);
       List.iter (fun rt -> index_insert rt oid record) (indexes_of_set t set);
-      Engine.on_insert t.engine ~set oid)
+      Engine.on_insert t.engine ~set oid record)
 
 let get_encoded ?txn t ~set oid =
   locking t txn (fun tx -> lock_read t tx ~set oid);
@@ -672,18 +680,30 @@ let get_encoded ?txn t ~set oid =
 let get ?txn t ~set oid = Record.decode (get_encoded ?txn t ~set oid)
 
 (* [pin]: leave a tombstone in the slot instead of freeing it, so the OID
-   cannot be recycled while the deleting transaction is undecided. *)
+   cannot be recycled while the deleting transaction is undecided.  The
+   object is read once: its record feeds the write set, the before-image,
+   detaching and index removal alike. *)
 let delete_impl ?txn ~pin t ~set oid =
+  let read () = Record.decode (Heap_file.read (set_file t set) oid) in
   with_charge t txn (fun () ->
-      locking t txn (fun tx ->
-          lock_write t tx ~set oid;
-          lock_targets t tx (Engine.write_set_delete t.engine ~set oid));
-      capture_undo t txn ~set oid ~present:true;
+      let held =
+        locked t txn (fun tx ->
+            lock_write t tx ~set oid;
+            let record = read () in
+            let walk = Engine.walk t.engine ~set record in
+            lock_targets t tx (Engine.write_set_delete t.engine ~set record walk);
+            capture_undo t txn ~set oid (Some record);
+            (record, walk))
+      in
       log_mutation ?txn t (Wal.Delete { set; oid }) (fun () ->
-          Engine.on_delete t.engine ~set oid;
-          let hf = set_file t set in
-          let record = Record.decode (Heap_file.read hf oid) in
+          let record, walk =
+            match held with
+            | Some (record, walk) -> (record, Some walk)
+            | None -> (read (), None)
+          in
+          Engine.on_delete t.engine ~set ?walk oid record;
           List.iter (fun rt -> index_remove rt oid record) (indexes_of_set t set);
+          let hf = set_file t set in
           if pin then Heap_file.delete_pinned hf oid else Heap_file.delete hf oid);
       match txn with
       | Some tx when pin -> Txn.add_tombstone tx ~set oid
@@ -738,7 +758,7 @@ let update_field ?txn t ~set oid ~field value =
   let before = Record.decode (Heap_file.read hf oid) in
   let old_value = value_at before idx in
   if not (Value.equal old_value value) then begin
-    capture_undo t txn ~set oid ~present:true;
+    capture_undo t txn ~set oid (Some before);
     log_mutation ?txn t (Wal.Update { set; oid; field; value }) (fun () ->
         let after = Record.set_field before idx value in
         Heap_file.update hf oid (Record.encode after);
@@ -853,10 +873,6 @@ let abort t tx =
 
 (* ------------------------------------------------------------------ *)
 (* Reads                                                               *)
-
-let user_values t ~set (record : Record.t) =
-  let n = Ty.arity (Schema.set_type t.schema set) in
-  List.init n (fun i -> value_at record i)
 
 let field_value t ~set record field =
   let ty = Schema.set_type t.schema set in

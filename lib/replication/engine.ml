@@ -172,12 +172,11 @@ let read_membership env ~link_id (target_rec : Record.t) =
         ( Link_object.of_entries [ { Link_object.member = loid; tag = Oid.nil } ],
           `Direct )
 
-(* Apply [f] to the membership of [target] under [node]'s link; persists the
-   result choosing between direct storage, a link object, or nothing.
-   Returns [(was_empty, now_empty)]. *)
-let modify_membership env (node : Registry.node) ~link_id ~threshold target_oid f =
-  let target_rec = read_record env target_oid in
-  ignore node;
+(* Apply [f] to the membership of [target] under link [link_id]; persists
+   the result choosing between direct storage, a link object, or nothing.
+   [target_rec] must be the target as stored now: a rewrite starts from its
+   link section.  Returns [(was_empty, now_empty)]. *)
+let modify_membership env ~link_id ~threshold target_oid target_rec f =
   let lo, state = read_membership env ~link_id target_rec in
   let lo' = f lo in
   let was_empty = Link_object.is_empty lo in
@@ -214,19 +213,19 @@ let modify_membership env (node : Registry.node) ~link_id ~threshold target_oid 
   end;
   (was_empty, now_empty)
 
-let add_member env node target_oid entry =
+let add_member env node target_oid target_rec entry =
   match node.Registry.link_id with
   | None -> (false, false)
   | Some link_id ->
-      modify_membership env node ~link_id ~threshold:(node_threshold node)
-        target_oid (fun lo -> Link_object.add lo entry)
+      modify_membership env ~link_id ~threshold:(node_threshold node) target_oid
+        target_rec (fun lo -> Link_object.add lo entry)
 
-let remove_member env node target_oid member =
+let remove_member env node target_oid target_rec member =
   match node.Registry.link_id with
   | None -> (false, false)
   | Some link_id ->
-      modify_membership env node ~link_id ~threshold:(node_threshold node)
-        target_oid (fun lo -> Link_object.remove lo member)
+      modify_membership env ~link_id ~threshold:(node_threshold node) target_oid
+        target_rec (fun lo -> Link_object.remove lo member)
 
 let plain_entry member = { Link_object.member; tag = Oid.nil }
 
@@ -241,8 +240,10 @@ let require_link (node : Registry.node) =
 (* On-path transitions                                                 *)
 
 (* [x] just came on-path at [node]; register it one level deeper on every
-   branch, recursing where the deeper target was off-path too. *)
-let rec ensure_deeper env (node : Registry.node) x_oid =
+   branch, recursing where the deeper target was off-path too.  Only the
+   references of [x_rec] are read, and membership writes never change
+   those, so any earlier read of [x] will do. *)
+let rec ensure_deeper env (node : Registry.node) x_oid x_rec =
   List.iter
     (fun (child : Registry.node) ->
       match child.Registry.link_id with
@@ -252,28 +253,31 @@ let rec ensure_deeper env (node : Registry.node) x_oid =
              would race the teardown cursor. *)
           ()
       | Some _ -> (
-          let x_rec = read_record env x_oid in
           match deref env ~from_type:child.Registry.from_type x_rec child.Registry.step with
           | None -> ()
           | Some y ->
-              let was_empty, now_empty = add_member env child y (plain_entry x_oid) in
-              if was_empty && not now_empty then ensure_deeper env child y))
+              let y_rec = read_record env y in
+              let was_empty, now_empty =
+                add_member env child y y_rec (plain_entry x_oid)
+              in
+              if was_empty && not now_empty then ensure_deeper env child y y_rec))
     (Registry.children env.registry node)
 
 (* [x] just went off-path at [node]; retract it one level deeper on every
-   branch, cascading further where targets empty out. *)
-let rec cascade_off env (node : Registry.node) x_oid =
+   branch, cascading further where targets empty out.  [x_rec] as in
+   [ensure_deeper]. *)
+let rec cascade_off env (node : Registry.node) x_oid x_rec =
   List.iter
     (fun (child : Registry.node) ->
       match child.Registry.link_id with
       | None -> ()
       | Some _ -> (
-          let x_rec = read_record env x_oid in
           match deref env ~from_type:child.Registry.from_type x_rec child.Registry.step with
           | None -> ()
           | Some y ->
-              let _, now_empty = remove_member env child y x_oid in
-              if now_empty then cascade_off env child y))
+              let y_rec = read_record env y in
+              let _, now_empty = remove_member env child y y_rec x_oid in
+              if now_empty then cascade_off env child y y_rec))
     (Registry.children env.registry node)
 
 (* ------------------------------------------------------------------ *)
@@ -312,13 +316,16 @@ let forward_targets env (nodes : Registry.node list) source_rec =
   in
   go [] source_rec nodes
 
-let final_of env nodes source_rec =
-  let targets = forward_targets env nodes source_rec in
-  if List.length targets = List.length nodes then
-    match List.rev targets with
-    | (_, oid, r) :: _ -> Some (oid, r)
-    | [] -> None
+(* The final object of a forward walk, when the path reaches it. *)
+let final_of_chain nodes chain =
+  if List.compare_lengths chain nodes = 0 then
+    match Listx.last chain with
+    | Some (_, oid, r) -> Some (oid, r)
+    | None -> None
   else None
+
+let final_of env nodes source_rec =
+  final_of_chain nodes (forward_targets env nodes source_rec)
 
 let sprime_field_offset = 2
 
@@ -440,10 +447,10 @@ let batched_rewrite env ~set oids ~transform =
       (group_by_page sorted)
 
 (* Desired hidden-field rewrite of one source record under an in-place or
-   collapsed terminal; [None] when the stored copies already match. *)
-let inplace_refresh_transform env (rep : Schema.replication) ~set ~nodes
-    ~final_ty ~fields source_rec =
-  let final = final_of env nodes source_rec in
+   collapsed terminal, given the path's [final] object (only its values are
+   read); [None] when the stored copies already match. *)
+let inplace_refresh_transform env (rep : Schema.replication) ~set ~final_ty
+    ~fields ~final source_rec =
   let changed = ref false in
   let updated =
     List.fold_left
@@ -467,37 +474,40 @@ let inplace_refresh_transform env (rep : Schema.replication) ~set ~nodes
   in
   if !changed then Some updated else None
 
-(* Recompute the hidden fields of one source object from the current state
-   of the forward path (both strategies). *)
-let refresh_terminal env (rep : Schema.replication) source_oid =
+(* Recompute the hidden fields of one source object from its forward walk
+   [chain] (both strategies) and return the source record as now stored.
+   [source_rec] must be the source as stored now.  [final_rec], when
+   given, is the final object as stored now; otherwise the chain's copy
+   stands in for it, which is exact until a membership write. *)
+let refresh_source env (rep : Schema.replication) ~chain ?final_rec source_oid
+    source_rec =
   let set = rep.Schema.rpath.Path.source_set in
   let nodes = Registry.chain env.registry rep in
   let _, term = Registry.terminal_of env.registry rep in
-  let source_rec = read_record env source_oid in
-  let changed = ref false in
+  let final =
+    match (final_of_chain nodes chain, final_rec) with
+    | Some (oid, _), Some r -> Some (oid, r)
+    | final, _ -> final
+  in
   let updated =
     match term.Registry.kind with
-    | Registry.K_inplace | Registry.K_collapsed _ -> (
+    | Registry.K_inplace | Registry.K_collapsed _ ->
         let final_ty_name =
-          (Listx.last_exn ~what:"Engine.refresh_terminal: empty chain" nodes)
+          (Listx.last_exn ~what:"Engine.refresh_source: empty chain" nodes)
             .Registry.to_type
         in
         let final_ty = Schema.find_type env.schema final_ty_name in
-        match
-          inplace_refresh_transform env rep ~set ~nodes ~final_ty
-            ~fields:term.Registry.fields source_rec
-        with
-        | Some updated ->
-            changed := true;
-            updated
-        | None -> source_rec)
+        Option.map
+          (fun after -> (source_rec, after))
+          (inplace_refresh_transform env rep ~set ~final_ty
+             ~fields:term.Registry.fields ~final source_rec)
     | Registry.K_separate sref_link ->
         let idx =
           Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id
             ~field:None
         in
         let desired =
-          match final_of env nodes source_rec with
+          match final with
           | Some (final_oid, final_rec) ->
               Value.VRef
                 (sprime_for env rep ~sref_link ~fields:term.Registry.fields
@@ -505,7 +515,7 @@ let refresh_terminal env (rep : Schema.replication) source_oid =
           | None -> Value.VNull
         in
         let current = value_or_null source_rec idx in
-        if Value.equal current desired then source_rec
+        if Value.equal current desired then None
         else begin
           (match current with
           | Value.VRef old_sp -> sprime_refcount_add env ~sref_link old_sp (-1)
@@ -513,15 +523,32 @@ let refresh_terminal env (rep : Schema.replication) source_oid =
           (match desired with
           | Value.VRef new_sp -> sprime_refcount_add env ~sref_link new_sp 1
           | Value.VNull | Value.VInt _ | Value.VString _ -> ());
-          changed := true;
-          set_value_extending source_rec idx desired
+          (* The S' writes above rewrite the link section of the final
+             object and of the old S' object's owner; on a self-referential
+             type either may be this very source. *)
+          let before =
+            if Registry.self_referential env.registry set then
+              read_record env source_oid
+            else source_rec
+          in
+          Some (before, set_value_extending before idx desired)
         end
   in
-  if !changed then begin
-    write_record env source_oid updated;
-    env.on_hidden_update set source_oid ~before:source_rec ~after:updated
-  end;
-  clear_pending env rep source_oid
+  let stored =
+    match updated with
+    | Some (before, after) ->
+        write_record env source_oid after;
+        env.on_hidden_update set source_oid ~before ~after;
+        after
+    | None -> source_rec
+  in
+  clear_pending env rep source_oid;
+  stored
+
+let refresh_terminal env (rep : Schema.replication) source_oid =
+  let source_rec = read_record env source_oid in
+  let chain = forward_targets env (Registry.chain env.registry rep) source_rec in
+  ignore (refresh_source env rep ~chain source_oid source_rec)
 
 (* Refresh many sources of one declaration, page-batched where the terminal
    allows it.  Separate terminals stay per-object — [sprime_for] /
@@ -543,8 +570,10 @@ let refresh_batch env (rep : Schema.replication) oids =
       in
       batched_rewrite env ~set oids ~transform:(fun oid source_rec ->
           clear_pending env rep oid;
-          inplace_refresh_transform env rep ~set ~nodes ~final_ty
-            ~fields:term.Registry.fields source_rec)
+          inplace_refresh_transform env rep ~set ~final_ty
+            ~fields:term.Registry.fields
+            ~final:(final_of env nodes source_rec)
+            source_rec)
 
 (* ------------------------------------------------------------------ *)
 (* Source attach / detach                                              *)
@@ -554,48 +583,79 @@ let collapsed_link_id (term : Registry.terminal) =
   | Registry.K_collapsed id -> Some id
   | Registry.K_inplace | Registry.K_separate _ -> None
 
-(* Membership bookkeeping for one source object joining a path. *)
-let attach_source env (rep : Schema.replication) source_oid =
+(* Attach and detach walk the forward path once.  The walk's records feed
+   the one membership write at the head of the chain (nothing has been
+   written since the walk) and the terminal refresh, which reads the final
+   object's values only — membership writes change link sections, never
+   values.  Two exceptions read again: a separate terminal may rewrite the
+   final object's link section, so it re-reads the final object when a
+   membership write can have reached it (the chain has a linked level);
+   and on a self-referential type the source itself may have been a
+   membership target. *)
+
+(* Membership bookkeeping for one source object joining a path.
+   [source_rec] is the source as stored now; [chain] its forward walk, if
+   the caller already has it.  Returns the source record as now stored. *)
+let attach_source env (rep : Schema.replication) ?chain source_oid source_rec =
+  let set = rep.Schema.rpath.Path.source_set in
   let nodes = Registry.chain env.registry rep in
-  let final_node, term = Registry.terminal_of env.registry rep in
-  let source_rec = read_record env source_oid in
+  let _, term = Registry.terminal_of env.registry rep in
+  let chain =
+    match chain with Some c -> c | None -> forward_targets env nodes source_rec
+  in
   (match collapsed_link_id term with
   | Some link_id -> (
       (* Collapsed 2-level path: a single tagged link at the final node. *)
-      match forward_targets env nodes source_rec with
-      | [ (_, x1, _); (_, x2, _) ] ->
+      match chain with
+      | [ (_, x1, _); (_, x2, x2_rec) ] ->
           ignore
-            (modify_membership env final_node ~link_id ~threshold:0 x2
-               (fun lo ->
+            (modify_membership env ~link_id ~threshold:0 x2 x2_rec (fun lo ->
                  Link_object.add lo { Link_object.member = source_oid; tag = x1 }))
       | _ -> () (* path broken by a null reference: nothing to register *))
   | None -> (
-      match forward_targets env nodes source_rec with
+      match chain with
       | [] -> ()
-      | (node1, x1, _) :: _ ->
-          let was_empty, now_empty = add_member env node1 x1 (plain_entry source_oid) in
-          if was_empty && not now_empty then ensure_deeper env node1 x1));
-  refresh_terminal env rep source_oid
+      | (node1, x1, x1_rec) :: _ ->
+          let was_empty, now_empty =
+            add_member env node1 x1 x1_rec (plain_entry source_oid)
+          in
+          if was_empty && not now_empty then ensure_deeper env node1 x1 x1_rec));
+  let final_rec =
+    match (term.Registry.kind, final_of_chain nodes chain) with
+    | Registry.K_separate _, Some (final_oid, _)
+      when List.exists (fun (n : Registry.node) -> n.Registry.link_id <> None) nodes
+      ->
+        Some (read_record env final_oid)
+    | _ -> None
+  in
+  let source_rec =
+    if Registry.self_referential env.registry set then read_record env source_oid
+    else source_rec
+  in
+  refresh_source env rep ~chain ?final_rec source_oid source_rec
 
-let detach_source env (rep : Schema.replication) source_oid =
+(* [source_rec] and [chain] as in [attach_source]. *)
+let detach_source env (rep : Schema.replication) ?chain source_oid source_rec =
   clear_pending env rep source_oid;
   let nodes = Registry.chain env.registry rep in
-  let final_node, term = Registry.terminal_of env.registry rep in
-  let source_rec = read_record env source_oid in
+  let _, term = Registry.terminal_of env.registry rep in
+  let chain =
+    match chain with Some c -> c | None -> forward_targets env nodes source_rec
+  in
   (match collapsed_link_id term with
   | Some link_id -> (
-      match forward_targets env nodes source_rec with
-      | [ _; (_, x2, _) ] ->
+      match chain with
+      | [ _; (_, x2, x2_rec) ] ->
           ignore
-            (modify_membership env final_node ~link_id ~threshold:0 x2
-               (fun lo -> Link_object.remove lo source_oid))
+            (modify_membership env ~link_id ~threshold:0 x2 x2_rec (fun lo ->
+                 Link_object.remove lo source_oid))
       | _ -> ())
   | None -> (
-      match forward_targets env nodes source_rec with
+      match chain with
       | [] -> ()
-      | (node1, x1, _) :: _ ->
-          let _, now_empty = remove_member env node1 x1 source_oid in
-          if now_empty then cascade_off env node1 x1));
+      | (node1, x1, x1_rec) :: _ ->
+          let _, now_empty = remove_member env node1 x1 x1_rec source_oid in
+          if now_empty then cascade_off env node1 x1 x1_rec));
   (* Separate paths: drop this source's claim on its S' object. *)
   match term.Registry.kind with
   | Registry.K_separate sref_link -> (
@@ -617,7 +677,8 @@ let detach_source env (rep : Schema.replication) source_oid =
    refcounts — so a source already attached by the catch-up trigger (an
    insert or reference update that ran while the backfill cursor was
    behind it) converges instead of double-registering. *)
-let backfill_source = attach_source
+let backfill_source env rep source_oid =
+  ignore (attach_source env rep source_oid (read_record env source_oid))
 
 (* Tear down one source object's contribution to a [Dropping] declaration.
    Unlike [detach_source] (object deletion), the source object stays: only
@@ -628,7 +689,7 @@ let teardown_source env (rep : Schema.replication) source_oid =
   clear_pending env rep source_oid;
   let set = rep.Schema.rpath.Path.source_set in
   let nodes = Registry.chain env.registry rep in
-  let final_node, term = Registry.terminal_of env.registry rep in
+  let _, term = Registry.terminal_of env.registry rep in
   let source_rec = read_record env source_oid in
   (match collapsed_link_id term with
   | Some link_id -> (
@@ -636,7 +697,7 @@ let teardown_source env (rep : Schema.replication) source_oid =
       match forward_targets env nodes source_rec with
       | [ _; (_, x2, _) ] ->
           ignore
-            (modify_membership env final_node ~link_id ~threshold:0 x2
+            (modify_membership env ~link_id ~threshold:0 x2 (read_record env x2)
                (fun lo -> Link_object.remove lo source_oid))
       | _ -> ())
   | None ->
@@ -651,7 +712,9 @@ let teardown_source env (rep : Schema.replication) source_oid =
              if
                node.Registry.link_id <> None
                && not (List.exists (rep_live env) node.Registry.passing)
-             then ignore (remove_member env node x_oid member);
+             then
+               ignore
+                 (remove_member env node x_oid (read_record env x_oid) member);
              x_oid)
            source_oid
            (forward_targets env nodes source_rec)));
@@ -695,16 +758,46 @@ let teardown_source env (rep : Schema.replication) source_oid =
 (* ------------------------------------------------------------------ *)
 (* Public maintenance entry points                                     *)
 
-let on_insert env ~set oid =
-  List.iter
-    (fun rep -> if rep_live env rep then attach_source env rep oid)
+(* rep id -> forward chain, for every declaration rooted at the set *)
+type walk = (int * (Registry.node * Oid.t * Record.t) list) list
+
+let walk env ~set source_rec : walk =
+  List.map
+    (fun (rep : Schema.replication) ->
+      ( rep.Schema.rep_id,
+        forward_targets env (Registry.chain env.registry rep) source_rec ))
     (Schema.replications_from env.schema set)
 
-let on_delete env ~set oid =
-  List.iter
-    (fun rep -> detach_source env rep oid)
-    (Schema.replications_from env.schema set);
-  let record = read_record env oid in
+(* A walk is exact until the first membership write.  The first
+   declaration's pass uses it; each later one walks again, since an
+   earlier pass may have rewritten objects on its chain (a shared trie
+   prefix, or one object reached twice). *)
+let passes env ~set ?walk record pass =
+  ignore
+    (List.fold_left
+       (fun (walk, record) (rep : Schema.replication) ->
+         let chain = Option.bind walk (List.assoc_opt rep.Schema.rep_id) in
+         match pass rep chain record with
+         | Some record -> (None, record)
+         | None -> (walk, record))
+       (walk, record)
+       (Schema.replications_from env.schema set))
+
+let on_insert env ~set ?walk oid record =
+  passes env ~set ?walk record (fun rep chain record ->
+      if rep_live env rep then Some (attach_source env rep ?chain oid record)
+      else None)
+
+let on_delete env ~set ?walk oid record =
+  passes env ~set ?walk record (fun rep chain record ->
+      detach_source env rep ?chain oid record;
+      Some record);
+  (* Detaching rewrites link sections of the path's objects, which include
+     this one only on a self-referential type. *)
+  let record =
+    if Registry.self_referential env.registry set then read_record env oid
+    else record
+  in
   if record.Record.links <> [] then
     invalid_arg
       (Printf.sprintf
@@ -825,15 +918,17 @@ let ref_update_source env ~set source_oid ~field ~old_target ~new_target =
         | Some _ ->
             (match old_target with
             | Some o ->
-                let _, now_empty = remove_member env node1 o source_oid in
-                if now_empty then cascade_off env node1 o
+                let o_rec = read_record env o in
+                let _, now_empty = remove_member env node1 o o_rec source_oid in
+                if now_empty then cascade_off env node1 o o_rec
             | None -> ());
             (match new_target with
             | Some nw when List.exists (rep_live env) node1.Registry.passing ->
+                let nw_rec = read_record env nw in
                 let was_empty, now_empty =
-                  add_member env node1 nw (plain_entry source_oid)
+                  add_member env node1 nw nw_rec (plain_entry source_oid)
                 in
-                if was_empty && not now_empty then ensure_deeper env node1 nw
+                if was_empty && not now_empty then ensure_deeper env node1 nw nw_rec
             | Some _ | None -> ())
         | None -> ());
         List.iter
@@ -851,8 +946,9 @@ let ref_update_source env ~set source_oid ~field ~old_target ~new_target =
                     with
                     | Some old_final ->
                         ignore
-                          (modify_membership env final_node ~link_id ~threshold:0
-                             old_final (fun lo -> Link_object.remove lo source_oid))
+                          (modify_membership env ~link_id ~threshold:0 old_final
+                           (read_record env old_final) (fun lo ->
+                             Link_object.remove lo source_oid))
                     | None -> ())
                 | None -> ());
                 (match new_target with
@@ -864,8 +960,8 @@ let ref_update_source env ~set source_oid ~field ~old_target ~new_target =
                     with
                     | Some new_final ->
                         ignore
-                          (modify_membership env final_node ~link_id ~threshold:0
-                             new_final (fun lo ->
+                          (modify_membership env ~link_id ~threshold:0 new_final
+                           (read_record env new_final) (fun lo ->
                                Link_object.add lo
                                  { Link_object.member = source_oid; tag = new_x1 }))
                     | None -> ())
@@ -895,8 +991,8 @@ let ref_update_intermediate env ~elem_type x_oid ~field ~old_target ~new_target 
                       (match old_target with
                       | Some o ->
                           ignore
-                            (modify_membership env child ~link_id ~threshold:0 o
-                               (fun lo ->
+                            (modify_membership env ~link_id ~threshold:0 o
+                               (read_record env o) (fun lo ->
                                  moved := Link_object.entries_tagged lo x_oid;
                                  Link_object.remove_tagged lo x_oid))
                       | None -> ());
@@ -904,8 +1000,8 @@ let ref_update_intermediate env ~elem_type x_oid ~field ~old_target ~new_target 
                       | Some nw
                         when !moved <> [] && rep_live env term.Registry.rep ->
                           ignore
-                            (modify_membership env child ~link_id ~threshold:0 nw
-                               (fun lo ->
+                            (modify_membership env ~link_id ~threshold:0 nw
+                               (read_record env nw) (fun lo ->
                                  List.fold_left Link_object.add lo !moved))
                       | Some _ | None -> ());
                       if rep_live env term.Registry.rep then
@@ -929,18 +1025,20 @@ let ref_update_intermediate env ~elem_type x_oid ~field ~old_target ~new_target 
                     | Some _ ->
                         (match old_target with
                         | Some o ->
-                            let _, now_empty = remove_member env child o x_oid in
-                            if now_empty then cascade_off env child o
+                            let o_rec = read_record env o in
+                            let _, now_empty = remove_member env child o o_rec x_oid in
+                            if now_empty then cascade_off env child o o_rec
                         | None -> ());
                         (match new_target with
                         | Some nw
                           when List.exists (rep_live env) child.Registry.passing
                           ->
+                            let nw_rec = read_record env nw in
                             let was_empty, now_empty =
-                              add_member env child nw (plain_entry x_oid)
+                              add_member env child nw nw_rec (plain_entry x_oid)
                             in
                             if was_empty && not now_empty then
-                              ensure_deeper env child nw
+                              ensure_deeper env child nw nw_rec
                         | Some _ | None -> ())
                     | None -> ());
                     (* Refresh every source under this intermediate for every
@@ -972,7 +1070,7 @@ let on_ref_update env ~set oid ~field ~old_value ~new_value =
 let build env (rep : Schema.replication) =
   let set = rep.Schema.rpath.Path.source_set in
   let nodes = Registry.chain env.registry rep in
-  let final_node, term = Registry.terminal_of env.registry rep in
+  let _, term = Registry.terminal_of env.registry rep in
   let src_file = env.file_of_set set in
   match collapsed_link_id term with
   | Some link_id ->
@@ -995,7 +1093,8 @@ let build env (rep : Schema.replication) =
         (fun final_oid ->
           let entries = Oid.Table.find per_final final_oid in
           ignore
-            (modify_membership env final_node ~link_id ~threshold:0 final_oid
+            (modify_membership env ~link_id ~threshold:0 final_oid
+               (read_record env final_oid)
                (fun lo -> List.fold_left Link_object.add lo entries)))
         finals;
       let sources = ref [] in
@@ -1039,7 +1138,8 @@ let build env (rep : Schema.replication) =
         let threshold = node_threshold node in
         let members = Oid.Table.find (table_for node) target in
         ignore
-          (modify_membership env node ~link_id ~threshold target (fun lo ->
+          (modify_membership env ~link_id ~threshold target (read_record env target)
+             (fun lo ->
                Oid.Set.fold (fun m lo -> Link_object.add lo (plain_entry m)) members lo))
       in
       if rep.Schema.options.Schema.cluster_links && fresh_links <> [] then begin
@@ -1217,22 +1317,14 @@ let alive env oid =
   let hf = data_file env oid in
   Heap_file.exists hf oid
 
-let chain_objects env (rep : Schema.replication) source_rec =
-  List.map
-    (fun (_, oid, _) -> oid)
-    (forward_targets env (Registry.chain env.registry rep) source_rec)
-
 (* Objects [attach_source]/[detach_source] will touch for a record of
    [set]: the forward-path chain of every declaration rooted there. *)
-let write_set_attach env ~set record =
-  List.concat_map
-    (fun rep -> chain_objects env rep record)
-    (Schema.replications_from env.schema set)
+let write_set_attach (walk : walk) =
+  List.concat_map (fun (_, chain) -> List.map (fun (_, oid, _) -> oid) chain) walk
   |> List.sort_uniq Oid.compare
 
-let write_set_delete env ~set oid =
-  let record = read_record env oid in
-  let chain = write_set_attach env ~set record in
+let write_set_delete env ~set record walk =
+  let chain = write_set_attach walk in
   (* A separate path's S' object names its owning final object; dropping
      the last refcount rewrites the owner, which the forward walk may no
      longer reach. *)

@@ -69,14 +69,24 @@ val build : env -> Schema.replication -> unit
     levels and S' files are created in target-set physical order, hidden
     fields are (re)computed for every source object. *)
 
-val on_insert : env -> set:string -> Oid.t -> unit
-(** The object was just inserted (its references already stored).  Attaches
-    it to every replication path rooted at [set] and fills its hidden
-    fields. *)
+type walk
+(** The forward paths of one source record, walked once: for every
+    declaration rooted at the record's set, the objects along its path
+    with their decoded records.  Exact until the next data mutation. *)
 
-val on_delete : env -> set:string -> Oid.t -> unit
-(** Must be called *before* the heap delete.  Detaches the object from
-    paths rooted at [set].  Raises [Invalid_argument] if the object is still
+val walk : env -> set:string -> Record.t -> walk
+
+val on_insert : env -> set:string -> ?walk:walk -> Oid.t -> Record.t -> unit
+(** The object was just inserted (its references already stored) with
+    this record.  Attaches it to every replication path rooted at [set]
+    and fills its hidden fields.  [walk], when given, is the record's
+    {!walk} taken before the insert; without it the paths are walked
+    here. *)
+
+val on_delete : env -> set:string -> ?walk:walk -> Oid.t -> Record.t -> unit
+(** Must be called *before* the heap delete, with the object's stored
+    record ([walk] as in {!on_insert}).  Detaches the object from paths
+    rooted at [set].  Raises [Invalid_argument] if the object is still
     referenced along some replication path (it is an intermediate or final
     object with live link memberships), mirroring the paper's assumption
     that such objects are deleted only when unreferenced. *)
@@ -189,13 +199,13 @@ val space_pages : env -> int
     objects are excluded because they are guarded by the data object that
     owns them. *)
 
-val write_set_attach : env -> set:string -> Fieldrep_model.Record.t -> Oid.t list
-(** Forward-path objects that attaching (inserting) a record of [set]
+val write_set_attach : walk -> Oid.t list
+(** Forward-path objects that attaching (inserting) the walked record
     will touch. *)
 
-val write_set_delete : env -> set:string -> Oid.t -> Oid.t list
+val write_set_delete : env -> set:string -> Record.t -> walk -> Oid.t list
 (** Forward-path objects plus any S' owner that detaching (deleting) the
-    object will touch. *)
+    object with this stored record and walk will touch. *)
 
 val write_set_scalar : env -> Oid.t -> field:string -> Oid.t list
 (** Source objects whose hidden copies (or lazy-invalidation entries) a

@@ -219,6 +219,15 @@ let parent t n = Option.map (fun id -> t.node_arr.(id)) n.parent
 let link_kind t id = Hashtbl.find_opt t.by_link id
 let max_link_id t = t.max_link
 
+let self_referential t set =
+  match Hashtbl.find_opt t.root_tbl set with
+  | Some (root :: _) ->
+      let own = t.node_arr.(root).from_type in
+      Array.exists
+        (fun n -> String.equal n.source_set set && String.equal n.to_type own)
+        t.node_arr
+  | Some [] | None -> false
+
 let chain t (rep : Schema.replication) =
   match Hashtbl.find_opt t.by_rep rep.Schema.rep_id with
   | Some ids -> List.map (fun id -> t.node_arr.(id)) ids

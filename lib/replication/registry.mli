@@ -69,6 +69,12 @@ val parent : t -> node -> node option
 val link_kind : t -> int -> link_kind option
 val max_link_id : t -> int
 
+val self_referential : t -> string -> bool
+(** Does some path rooted at the set step to an object of the set's own
+    type (such as [EMP.manager])?  Only then can maintaining the set's
+    paths rewrite one of its objects: as a link target, or as the final
+    object a separate path's S' object hangs off. *)
+
 val chain : t -> Fieldrep_model.Schema.replication -> node list
 (** The nodes of a path, level 1 first.  Raises [Not_found] for an unknown
     declaration. *)

@@ -17,7 +17,7 @@ type t = {
   id : int;
   mutable state : state;
   mutable undo : undo_image list;  (* newest first *)
-  touched : (string * string, unit) Hashtbl.t;  (* (set, oid) first-touch *)
+  touched : (string * Oid.t, unit) Hashtbl.t;  (* (set, oid) first-touch *)
   mutable tombstones : (string * Oid.t) list;
       (* slots pinned by this txn's deletes, resolved at commit/abort *)
   mutable ops : int;
@@ -45,15 +45,18 @@ let id t = t.id
 let state t = t.state
 let is_active t = t.state = Active
 
-let key set oid = (set, Oid.to_string oid)
-
-let touched t ~set oid = Hashtbl.mem t.touched (key set oid)
-
+(* One hash lookup per touch: [replace] adds the key exactly when the
+   table grows.  A before-image that fails to build unmarks the object, so
+   a later touch captures it again. *)
 let record_touch t ~set oid image =
-  if not (touched t ~set oid) then begin
-    Hashtbl.replace t.touched (key set oid) ();
-    t.undo <- image :: t.undo
-  end
+  let n = Hashtbl.length t.touched in
+  Hashtbl.replace t.touched (set, oid) ();
+  if Hashtbl.length t.touched > n then
+    match image () with
+    | img -> t.undo <- img :: t.undo
+    | exception e ->
+        Hashtbl.remove t.touched (set, oid);
+        raise e
 
 let undo_images t = t.undo
 let add_tombstone t ~set oid = t.tombstones <- (set, oid) :: t.tombstones

@@ -24,11 +24,12 @@ val id : t -> int
 val state : t -> state
 val is_active : t -> bool
 
-val touched : t -> set:string -> Fieldrep_storage.Oid.t -> bool
-(** Has a before-image already been captured for this object? *)
-
-val record_touch : t -> set:string -> Fieldrep_storage.Oid.t -> undo_image -> unit
-(** First touch wins; later touches of the same object are ignored. *)
+val record_touch :
+  t -> set:string -> Fieldrep_storage.Oid.t -> (unit -> undo_image) -> unit
+(** [record_touch t ~set oid image]: on this transaction's first touch of
+    [(set, oid)], build the before-image with [image ()] and add it to the
+    undo list; later touches do nothing and do not call [image].  An
+    object is named by its set and OID together. *)
 
 val undo_images : t -> undo_image list
 (** Newest first — already in rollback order. *)

@@ -480,6 +480,52 @@ let test_ack_io_attribution () =
     (Txn.io tx);
   check_converged ~what:"ack replica" mdb rdb
 
+(* The write path reads what it works on, once.  A transactional delete
+   plus insert on the in-place path R.sref.repfield, where every S holds a
+   link object (four R per S), costs exactly these heap-object reads:
+   - master delete: R, its S, S's link object;
+   - master insert: the new S twice (reference validation, then the forward
+     walk the write set and the attach share), S's link object;
+   - replica apply of the commit: the same six, with the walk taken by the
+     redo entry points themselves.
+   Before records were threaded through the write path these were 17 on
+   the master and 13 on the replica. *)
+let test_write_path_reads () =
+  let mdb =
+    (Gen.build
+       {
+         Gen.default_spec with
+         Gen.s_count = 10;
+         sharing = 4;
+         strategy = Params.Inplace;
+         page_size = 1024;
+         frames = 64;
+         seed = 5;
+         durable = true;
+       })
+      .Gen.db
+  in
+  let m, r, _, _ = connect_pair mdb in
+  let rdb = Replica.db r in
+  let ss = s_oids mdb and rs = r_oids mdb in
+  let reads db = (Db.stats db).Stats.objects_read in
+  for k = 0 to 3 do
+    let tx = Db.begin_txn mdb in
+    let m0 = reads mdb in
+    Db.delete ~txn:tx mdb ~set:"R" rs.(k);
+    checki "master delete reads" 3 (reads mdb - m0);
+    let m1 = reads mdb in
+    ignore
+      (Db.insert ~txn:tx mdb ~set:"R"
+         [ Value.VInt (50_000 + k); Value.VString "pad"; Value.VRef ss.(k + 2) ]);
+    checki "master insert reads" 3 (reads mdb - m1);
+    Db.commit mdb tx;
+    let r0 = reads rdb in
+    converge m r;
+    checki "replica apply reads" 6 (reads rdb - r0)
+  done;
+  check_converged mdb rdb
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -923,6 +969,7 @@ let () =
             test_ack_io_attribution;
           Alcotest.test_case "replica is read-only" `Quick test_replica_read_only;
           Alcotest.test_case "two replicas" `Quick test_two_replicas;
+          Alcotest.test_case "write path reads per op" `Quick test_write_path_reads;
         ] );
       ( "faults",
         [

@@ -227,6 +227,190 @@ let test_two_source_sets_mixed_strategies () =
   checki "sref pair released" 1 (List.length record.Fieldrep_model.Record.links);
   Db.check_integrity db
 
+(* ------------------------------------------------------------------ *)
+(* Transactional churn: master, streaming replica and recovered copy   *)
+
+module Wal = Fieldrep_wal.Wal
+module Wire = Fieldrep_util.Wire
+module Splitmix = Fieldrep_util.Splitmix
+module Invariants = Fieldrep_replication.Invariants
+module Transport = Fieldrep_repl.Transport
+module Master = Fieldrep_repl.Repl.Master
+module Replica = Fieldrep_repl.Repl.Replica
+
+(* CITY <- ORG <- DEPT <- EMP, and EMP.manager : ref EMP.  Employees 0,
+   8 and 9 manage themselves and employees 1 and 2 manage each other, so
+   the self-referential paths meet objects on their own forward path. *)
+let org_chart_db () =
+  let db = Db.create ~durable:true ~page_size:1024 ~frames:16 () in
+  let name = { Ty.fname = "name"; ftype = Ty.Scalar Ty.SString } in
+  Db.define_type db (Ty.make ~name:"CITY" [ name ]);
+  Db.define_type db (Ty.make ~name:"ORG" [ name; { Ty.fname = "city"; ftype = Ty.Ref "CITY" } ]);
+  Db.define_type db (Ty.make ~name:"DEPT" [ name; { Ty.fname = "org"; ftype = Ty.Ref "ORG" } ]);
+  Db.define_type db
+    (Ty.make ~name:"EMP"
+       [
+         name;
+         { Ty.fname = "salary"; ftype = Ty.Scalar Ty.SInt };
+         { Ty.fname = "manager"; ftype = Ty.Ref "EMP" };
+         { Ty.fname = "dept"; ftype = Ty.Ref "DEPT" };
+       ]);
+  List.iter
+    (fun (set, ty) -> Db.create_set db ~name:set ~elem_type:ty ())
+    [ ("City", "CITY"); ("Org", "ORG"); ("Dept", "DEPT"); ("Emp", "EMP") ];
+  let cities =
+    Array.init 2 (fun i -> Db.insert db ~set:"City" [ vstr (Printf.sprintf "c%d" i) ])
+  in
+  let orgs =
+    Array.init 3 (fun i ->
+        Db.insert db ~set:"Org" [ vstr (Printf.sprintf "o%d" i); Value.VRef cities.(i mod 2) ])
+  in
+  let depts =
+    Array.init 4 (fun i ->
+        Db.insert db ~set:"Dept" [ vstr (Printf.sprintf "d%d" i); Value.VRef orgs.(i mod 3) ])
+  in
+  let emps = Array.make 10 Oid.nil in
+  for i = 0 to 9 do
+    (* 4..7 report to 3, 1 and 2 *)
+    let manager = if i >= 4 && i <= 7 then Value.VRef emps.(1 + (i mod 3)) else Value.VNull in
+    emps.(i) <-
+      Db.insert db ~set:"Emp"
+        [ vstr (Printf.sprintf "e%d" i); vint (100 * i); manager; Value.VRef depts.(i mod 4) ]
+  done;
+  List.iter
+    (fun (e, m) -> Db.update_field db ~set:"Emp" emps.(e) ~field:"manager" (Value.VRef emps.(m)))
+    [ (0, 0); (8, 8); (9, 9); (1, 2); (2, 1) ];
+  (db, depts)
+
+(* [Db.image] without the durability header's LSN stamp and log path,
+   which name each copy's own log; everything else (page size, file-id
+   watermark, catalog, every page) must agree byte for byte. *)
+let image_sans_log db =
+  let img = Db.image db in
+  let path = match Db.wal db with Some w -> Wal.path w | None -> "" in
+  let head = String.length "FREPIMG2" + 4 in
+  let skip = 8 + Wire.string_size path in
+  String.sub img 0 head ^ String.sub img (head + skip) (String.length img - head - skip)
+
+(* Recover a copy of the master from its checkpoint and the log as it is
+   on disk now, as a crash at this instant would leave them. *)
+let recovered_image ~ckpt master =
+  let log = Wal.path (Option.get (Db.wal master)) in
+  let copy = Filename.temp_file "fieldrep_topo" ".wal" in
+  Out_channel.with_open_bin copy (fun oc ->
+      Out_channel.output_string oc (In_channel.with_open_bin log In_channel.input_all));
+  let db = Db.recover ~wal_path:copy ckpt in
+  Invariants.check_all (Db.engine db);
+  let img = image_sans_log db in
+  Db.close db;
+  Sys.remove copy;
+  img
+
+(* Random transactions of inserts and deletes, a fifth of them aborted.
+   After every commit or abort the master, an async replica and a copy
+   recovered from checkpoint + log hold the same image and pass every
+   replication invariant; a copy recovered mid-transaction holds the
+   image of the last commit. *)
+let churn_agrees decls seed () =
+  let db, depts = org_chart_db () in
+  List.iter
+    (fun (strategy, collapse, path) ->
+      Db.replicate db ~strategy
+        ~options:{ Schema.default_options with Schema.collapse }
+        (Path.parse path))
+    decls;
+  let m = Master.create db in
+  let ma, rb, _, _ = Transport.loopback () in
+  let r = Replica.connect rb in
+  ignore (Master.attach ~pump:(fun () -> ignore (Replica.drain r)) m ma);
+  ignore (Replica.drain r);
+  let ckpt = Filename.temp_file "fieldrep_topo" ".img" in
+  Db.checkpoint db ckpt;
+  let rng = Splitmix.create seed in
+  (* live employees and their managers *)
+  let emps = ref [] in
+  Db.scan db ~set:"Emp" (fun oid record ->
+      let manager =
+        match Db.field_value db ~set:"Emp" record "manager" with
+        | Value.VRef o -> Some o
+        | _ -> None
+      in
+      emps := (oid, manager) :: !emps);
+  let pick l = List.nth l (Splitmix.int rng (List.length l)) in
+  let agreed = ref (image_sans_log db) in
+  for txn_no = 1 to 12 do
+    let before = !emps in
+    let tx = Db.begin_txn db in
+    let n_ops = 1 + Splitmix.int rng 4 in
+    for op = 1 to n_ops do
+      (* an employee nobody else reports to may go *)
+      let reports_to e (o, mg) = mg = Some e && not (Oid.equal o e) in
+      let free = List.filter (fun (e, _) -> not (List.exists (reports_to e) !emps)) !emps in
+      if free <> [] && Splitmix.int rng 5 < 2 then begin
+        let e, _ = pick free in
+        Db.delete ~txn:tx db ~set:"Emp" e;
+        emps := List.filter (fun (o, _) -> not (Oid.equal o e)) !emps
+      end
+      else begin
+        let manager =
+          if Splitmix.int rng 5 = 0 || !emps = [] then None else Some (fst (pick !emps))
+        in
+        let e =
+          Db.insert ~txn:tx db ~set:"Emp"
+            [
+              vstr (Printf.sprintf "t%d.%d" txn_no op);
+              vint (Splitmix.int rng 1000);
+              (match manager with Some o -> Value.VRef o | None -> Value.VNull);
+              Value.VRef depts.(Splitmix.int rng (Array.length depts));
+            ]
+        in
+        emps := (e, manager) :: !emps
+      end;
+      if op = 1 then
+        Alcotest.(check string)
+          (Printf.sprintf "txn %d: recovered mid-transaction = last commit" txn_no)
+          !agreed (recovered_image ~ckpt db)
+    done;
+    if Splitmix.int rng 5 = 0 then begin
+      Db.abort db tx;
+      emps := before
+    end
+    else Db.commit db tx;
+    for _ = 1 to 3 do
+      Master.pump m;
+      ignore (Replica.drain r)
+    done;
+    Invariants.check_all (Db.engine db);
+    Invariants.check_all (Db.engine (Replica.db r));
+    let img = image_sans_log db in
+    let what = Printf.sprintf "txn %d" txn_no in
+    Alcotest.(check string) (what ^ ": replica image") img (image_sans_log (Replica.db r));
+    Alcotest.(check string) (what ^ ": recovered image") img (recovered_image ~ckpt db);
+    agreed := img
+  done;
+  checki "live employees" (List.length !emps) (Db.set_size db "Emp");
+  let log = Wal.path (Option.get (Db.wal db)) in
+  Db.close db;
+  List.iter Sys.remove [ ckpt; log ]
+
+let churn_cases =
+  let inplace = Schema.Inplace and separate = Schema.Separate in
+  [
+    ("self-referential, in place", [ (inplace, false, "Emp.manager.manager.name") ]);
+    ("self-referential, separate", [ (separate, false, "Emp.manager.name") ]);
+    ("3-level, in place", [ (inplace, false, "Emp.dept.org.city.name") ]);
+    ("in place", [ (inplace, false, "Emp.dept.name") ]);
+    ("separate", [ (separate, false, "Emp.dept.org.name") ]);
+    ("collapsed", [ (inplace, true, "Emp.dept.org.name") ]);
+    ( "shared prefix, mixed",
+      [
+        (inplace, false, "Emp.dept.name");
+        (separate, false, "Emp.dept.org.name");
+        (inplace, false, "Emp.manager.dept.name");
+        (inplace, false, "Emp.manager.salary");
+      ] );
+  ]
+
 let () =
   Alcotest.run "fieldrep_topologies"
     [
@@ -244,4 +428,13 @@ let () =
       ("diamond", [ Alcotest.test_case "two routes to one set" `Quick test_diamond_paths ]);
       ( "multi-source",
         [ Alcotest.test_case "mixed strategies" `Quick test_two_source_sets_mixed_strategies ] );
+      ( "txn churn",
+        List.concat_map
+          (fun (label, decls) ->
+            List.map
+              (fun seed ->
+                Alcotest.test_case (Printf.sprintf "%s, seed %d" label seed) `Quick
+                  (churn_agrees decls seed))
+              [ 1; 2; 3 ])
+          churn_cases );
     ]

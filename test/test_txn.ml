@@ -389,6 +389,50 @@ let test_crash_during_run () =
   Wal.close (Option.get (Db.wal db2));
   Sys.remove img
 
+(* A transaction captures one before-image per object, named by set and
+   OID together: equal OIDs in two sets are two first touches, a repeat
+   touch builds and logs nothing, and an image that fails to build leaves
+   the object untouched. *)
+let test_first_touch () =
+  let tx = Txn.make 1 in
+  let oid = { Oid.file = 3; page = 7; slot = 2 } in
+  let built = ref 0 in
+  let image set () =
+    incr built;
+    { Txn.u_set = set; u_oid = oid; u_present = true; u_values = [] }
+  in
+  Txn.record_touch tx ~set:"A" oid (image "A");
+  Txn.record_touch tx ~set:"B" { oid with Oid.slot = 2 } (image "B");
+  Txn.record_touch tx ~set:"A" { Oid.file = 3; page = 7; slot = 2 } (image "A");
+  checki "one image per (set, oid)" 2 !built;
+  checksl "newest first" [ "B"; "A" ]
+    (List.map (fun i -> i.Txn.u_set) (Txn.undo_images tx));
+  let other = { oid with Oid.page = 8 } in
+  (try Txn.record_touch tx ~set:"A" other (fun () -> failwith "no image")
+   with Failure _ -> ());
+  Txn.record_touch tx ~set:"A" other (image "A");
+  checki "a failed capture is retried" 3 (List.length (Txn.undo_images tx));
+  (* Through the engine: updating one object twice and deleting it logs a
+     single Undo_image for it. *)
+  let db = (Gen.build (small_spec ~durable:true Params.Inplace 4)).Gen.db in
+  let victim = oid_of db ~set:"R" ~field:"field_r" 5 in
+  let tx = Db.begin_txn db in
+  Db.update_field ~txn:tx db ~set:"R" victim ~field:"field_r" (Value.VInt 90_001);
+  Db.update_field ~txn:tx db ~set:"R" victim ~field:"field_r" (Value.VInt 90_002);
+  Db.delete ~txn:tx db ~set:"R" victim;
+  Db.commit db tx;
+  let w = Option.get (Db.wal db) in
+  let images =
+    List.filter
+      (fun (_, frame) ->
+        match Wal.decode_frame frame with
+        | _, Wal.Undo_image { oid; _ } -> Oid.equal oid victim
+        | _ -> false)
+      (Wal.read_frames (Wal.path w) ~after:0L)
+  in
+  checki "one logged before-image" 1 (List.length images);
+  Wal.close w
+
 let () =
   Alcotest.run "fieldrep_txn"
     [
@@ -414,6 +458,7 @@ let () =
             test_db_deadlock;
           Alcotest.test_case "abort I/O attribution" `Quick
             test_abort_io_attribution;
+          Alcotest.test_case "first touch per (set, oid)" `Quick test_first_touch;
         ] );
       ( "interleaved serializability",
         [
